@@ -51,6 +51,10 @@
 #                  growth on a pinned benchmark fails; benchdiff.md
 #                  holds the delta table CI uploads
 #
+#   make loc     — the size number ROADMAP tracks: non-test Go lines
+#                  of the tracked files, excluding cmd/motbench/ and
+#                  testdata/
+#
 # The -race and chaos tiers are intentionally short: they run only the
 # tests that exercise real concurrency and fault injection in the packages
 # that own them, so the whole check stays CI-friendly.
@@ -58,7 +62,7 @@
 GO ?= go
 
 RACE_PKGS = ./internal/experiments ./internal/runtime ./internal/runtime/track ./internal/mobility ./internal/graph ./internal/serve
-RACE_RUN  = 'TestRace|TestParallel|TestGolden|TestStream|TestConcurrent|TestOracle'
+RACE_RUN  = 'TestRace|TestParallel|TestGolden|TestStream|TestConcurrent|TestOracle|TestOrderedPool'
 
 CHAOS_PKGS = ./internal/chaos ./internal/core ./internal/sim ./internal/runtime ./internal/experiments .
 CHAOS_RUN  = 'TestChaos|TestGoldenChaos|TestRaceDoubleStop'
@@ -70,7 +74,7 @@ CHURN_RUN  = 'TestChurn|TestGoldenChurn|TestStaleObjects|TestHierRepair|TestExcl
 # above; raise the floor as coverage grows, never lower it to pass).
 COVER_MIN = 79
 
-.PHONY: check fmt vet build test race chaos churn scale soak lint cover bench bench-json bench-gate
+.PHONY: check fmt vet build test race chaos churn scale soak lint cover bench bench-json bench-gate loc
 
 check: fmt vet build test race chaos churn scale bench lint
 
@@ -125,3 +129,6 @@ bench-json:
 bench-gate:
 	$(GO) run ./cmd/motsim -benchjson BENCH_current.json
 	$(GO) run ./cmd/benchdiff -baseline BENCH_10.json -current BENCH_current.json -md benchdiff.md
+
+loc:
+	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^cmd/motbench/' -e 'testdata/' | xargs cat | wc -l

@@ -21,17 +21,16 @@ type ChaosConfig struct {
 	// MaxAttempts bounds retransmissions per message (0 → 8).
 	MaxAttempts int
 	// ChurnThreshold is the fraction of sensors whose cumulative failures
-	// trigger the coarse §7 fallback — a full rebuild — instead of
-	// fine-grained repair. 0 defaults to 0.25.
+	// trigger the coarse §7 fallback — a full rebuild over the live set —
+	// instead of local repair. 0 defaults to 0.25.
 	ChurnThreshold float64
-	// RebuildEachEvent is the validation mode of the incremental regime:
-	// every FailNode/RecoverNode rebuilds the overlay from scratch over
-	// the live set (hier.BuildExcluding) in place of hier.Repair, with the
+	// RebuildEachEvent is the validation mode of churn repair: every
+	// FailNode/RecoverNode rebuilds the overlay from scratch over the live
+	// set (hier.BuildExcluding) in place of hier.Repair, with the
 	// directory-repair discipline unchanged. Repair lands on a
 	// Fingerprint-identical overlay, so a run under this mode must be
 	// byte-identical to the same run without it — the golden churn tier
-	// replays both and diffs the cost traces. Only meaningful with
-	// Options.IncrementalRepair.
+	// replays both and diffs the cost traces.
 	RebuildEachEvent bool
 }
 
@@ -41,10 +40,3 @@ type DeliveryError = chaos.DeliveryError
 
 // FaultTrace is the deterministic record of injected faults.
 type FaultTrace = chaos.Trace
-
-func (t *Tracker) churnThreshold() float64 {
-	if t.opt.Chaos != nil && t.opt.Chaos.ChurnThreshold > 0 {
-		return t.opt.Chaos.ChurnThreshold
-	}
-	return 0.25
-}

@@ -33,12 +33,18 @@ func chaosTracker(t *testing.T, opt Options) (*Tracker, *Graph, []NodeID) {
 	return tr, g, locs
 }
 
-// Failing the root station's host damages every trail; recovering it must
-// repair them all through the fine-grained §7 path, restore query
-// correctness, and charge the walks to RecoveryCost.
+// Failing the root station's host drops the top of every trail; the
+// overlay re-elects a root and every broken trail is re-stamped before
+// FailNode returns, so queries stay correct while the node is down and
+// after it recovers, with the walks charged to RecoveryCost.
 func TestChaosFailRecoverRepairsTrails(t *testing.T) {
-	tr, g, locs := chaosTracker(t, Options{Seed: 1, SpecialParentOffset: 2})
+	tr, g, locs := chaosTracker(t, Options{Seed: 7, SpecialParentOffset: 2})
 	root := tr.RootNode()
+	for _, p := range locs {
+		if p == root {
+			t.Fatalf("fixture proxies an object at the root host %d", root)
+		}
+	}
 	if err := tr.FailNode(root); err != nil {
 		t.Fatal(err)
 	}
@@ -48,59 +54,41 @@ func TestChaosFailRecoverRepairsTrails(t *testing.T) {
 	if got := tr.FailedNodes(); len(got) != 1 || got[0] != root {
 		t.Fatalf("FailedNodes = %v, want [%d]", got, root)
 	}
-	// The root entry of every trail is gone: the damage is observable.
-	if err := tr.CheckInvariants(); err == nil {
-		t.Fatal("invariants still hold after dropping the root host")
+	if tr.RootNode() == root {
+		t.Fatalf("root still hosted on failed node %d", root)
 	}
-	if err := tr.RecoverNode(root); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatalf("invariants after recovery: %v", err)
-	}
-	for o, want := range locs {
-		got, _, err := tr.Query(NodeID((o*13)%g.N()), ObjectID(o))
-		if err != nil || got != want {
-			t.Fatalf("object %d after recovery: proxy %d err %v, want %d", o, got, err, want)
+	queryAll := func(stage string) {
+		t.Helper()
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("invariants %s: %v", stage, err)
+		}
+		for o, want := range locs {
+			from := NodeID((o * 13) % g.N())
+			if from == root {
+				from++
+			}
+			got, _, err := tr.Query(from, ObjectID(o))
+			if err != nil || got != want {
+				t.Fatalf("object %d %s: proxy %d err %v, want %d", o, stage, got, err, want)
+			}
 		}
 	}
+	queryAll("while the root host is down")
 	m := tr.Meter()
 	if m.RecoveryOps == 0 || m.RecoveryCost <= 0 {
 		t.Fatalf("repairs not metered: %d ops, cost %v", m.RecoveryOps, m.RecoveryCost)
 	}
+	if err := tr.RecoverNode(root); err != nil {
+		t.Fatal(err)
+	}
+	queryAll("after recovery")
 	if len(tr.FailedNodes()) != 0 {
 		t.Fatalf("failed set not cleared: %v", tr.FailedNodes())
 	}
 }
 
-// Healing waits for the whole network: with two nodes down, recovering one
-// repairs nothing; recovering the second repairs everything.
-func TestChaosRecoveryWaitsForWholeNetwork(t *testing.T) {
-	tr, _, _ := chaosTracker(t, Options{Seed: 2, SpecialParentOffset: 2})
-	root := tr.RootNode()
-	other := NodeID((int(root) + 1) % tr.Graph().N())
-	if err := tr.FailNode(root); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.FailNode(other); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.RecoverNode(root); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.CheckInvariants(); err == nil {
-		t.Fatal("directory healed while a node is still down")
-	}
-	if err := tr.RecoverNode(other); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatalf("invariants after full recovery: %v", err)
-	}
-}
-
-// Past the churn threshold, recovery falls back to the coarse §7 path — a
-// full Migrate-style rebuild — and carries the meter over.
+// Past the churn threshold, churn falls back to the coarse §7 path — a
+// from-scratch rebuild over the live set — and carries the meter over.
 func TestChaosChurnThresholdTriggersRebuild(t *testing.T) {
 	tr, g, locs := chaosTracker(t, Options{
 		Seed: 3, SpecialParentOffset: 2,
@@ -130,7 +118,7 @@ func TestChaosChurnThresholdTriggersRebuild(t *testing.T) {
 }
 
 // Validation: out-of-range failures are rejected, recovering a healthy
-// node errors, and Unpublish retires an object (even a damaged one).
+// node is a no-op, and Unpublish retires an object while a node is down.
 func TestChaosFailRecoverValidation(t *testing.T) {
 	tr, g, _ := chaosTracker(t, Options{Seed: 4, SpecialParentOffset: 2})
 	if err := tr.FailNode(NodeID(g.N())); err == nil {
@@ -149,7 +137,7 @@ func TestChaosFailRecoverValidation(t *testing.T) {
 		t.Fatal("unpublishing an unknown object accepted")
 	}
 
-	// Retire object 0 while it is damaged: recovery must skip it.
+	// Retire object 0 while the root host is down: recovery must skip it.
 	root := tr.RootNode()
 	if err := tr.FailNode(root); err != nil {
 		t.Fatal(err)

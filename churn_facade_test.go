@@ -1,16 +1,16 @@
 package mot
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 )
 
-// incrTracker builds an IncrementalRepair tracker over a grid with a
-// moved-around population, returning the ground-truth proxies.
-func incrTracker(t *testing.T, w, h, objects int, opt Options) (*Tracker, *Graph, []NodeID) {
+// churnTracker builds a tracker over a grid with a moved-around
+// population, returning the ground-truth proxies.
+func churnTracker(t *testing.T, w, h, objects int, opt Options) (*Tracker, *Graph, []NodeID) {
 	t.Helper()
 	g := Grid(w, h)
-	opt.IncrementalRepair = true
 	tr, err := NewTracker(g, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -34,64 +34,83 @@ func incrTracker(t *testing.T, w, h, objects int, opt Options) (*Tracker, *Graph
 	return tr, g, locs
 }
 
-func TestIncrementalRepairOptionGuards(t *testing.T) {
+// TestFailNodeUnsupportedOverlays pins the call-time rejection: the §6
+// sparse partition and §5 load-balanced placement cannot be repaired in
+// place, so churn events return ErrChurnUnsupported and leave tracking
+// untouched.
+func TestFailNodeUnsupportedOverlays(t *testing.T) {
 	g := Grid(3, 3)
-	if _, err := NewTracker(g, Options{IncrementalRepair: true, GeneralOverlay: true}); err == nil {
-		t.Fatal("IncrementalRepair with GeneralOverlay accepted")
-	}
-	if _, err := NewTracker(g, Options{IncrementalRepair: true, LoadBalance: true}); err == nil {
-		t.Fatal("IncrementalRepair with LoadBalance accepted")
-	}
-}
-
-// TestFailRecoverDefinedNoOps pins the §7 idempotence contract in both
-// regimes: failing a failed node and recovering a live node change
-// nothing — no error, no extra churn accounting, no meter movement.
-func TestFailRecoverDefinedNoOps(t *testing.T) {
-	for _, incremental := range []bool{false, true} {
-		opt := Options{Seed: 4, SpecialParentOffset: 2, IncrementalRepair: incremental}
-		g := Grid(5, 5)
+	for _, opt := range []Options{{GeneralOverlay: true}, {LoadBalance: true}} {
 		tr, err := NewTracker(g, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tr.Publish(1, 7); err != nil {
+		if err := tr.Publish(1, 4); err != nil {
 			t.Fatal(err)
 		}
-		if err := tr.RecoverNode(3); err != nil {
-			t.Fatalf("incremental=%v: recovering a live node: %v", incremental, err)
+		if err := tr.FailNode(4); !errors.Is(err, ErrChurnUnsupported) {
+			t.Fatalf("%+v: FailNode returned %v, want ErrChurnUnsupported", opt, err)
 		}
-		if err := tr.FailNode(12); err != nil {
-			t.Fatalf("incremental=%v: FailNode: %v", incremental, err)
+		if err := tr.RecoverNode(4); !errors.Is(err, ErrChurnUnsupported) {
+			t.Fatalf("%+v: RecoverNode returned %v, want ErrChurnUnsupported", opt, err)
 		}
-		before := tr.Meter()
-		if err := tr.FailNode(12); err != nil {
-			t.Fatalf("incremental=%v: double FailNode: %v", incremental, err)
+		if got := tr.FailedNodes(); len(got) != 0 {
+			t.Fatalf("%+v: FailedNodes = %v after a rejected FailNode", opt, got)
 		}
-		if got := tr.Meter(); got != before {
-			t.Fatalf("incremental=%v: double FailNode moved the meter: %+v vs %+v", incremental, got, before)
+		if got, _, err := tr.Query(0, 1); err != nil || got != 4 {
+			t.Fatalf("%+v: query after rejected churn: proxy %d err %v", opt, got, err)
 		}
-		if got := tr.FailedNodes(); len(got) != 1 || got[0] != 12 {
-			t.Fatalf("incremental=%v: FailedNodes = %v", incremental, got)
-		}
-		if err := tr.RecoverNode(12); err != nil {
-			t.Fatalf("incremental=%v: RecoverNode: %v", incremental, err)
-		}
-		if err := tr.RecoverNode(12); err != nil {
-			t.Fatalf("incremental=%v: double RecoverNode: %v", incremental, err)
-		}
-		if err := tr.CheckInvariants(); err != nil {
-			t.Fatalf("incremental=%v: invariants: %v", incremental, err)
+		if err := tr.Unpublish(1); err != nil {
+			t.Fatalf("%+v: Unpublish: %v", opt, err)
 		}
 	}
 }
 
-// TestIncrementalChurnAvailability is the tentpole's availability claim at
-// facade scope: while sensors are down, every object on a live proxy
+// TestFailRecoverDefinedNoOps pins the §7 idempotence contract: failing a
+// failed node and recovering a live node change nothing — no error, no
+// extra churn accounting, no meter movement.
+func TestFailRecoverDefinedNoOps(t *testing.T) {
+	g := Grid(5, 5)
+	tr, err := NewTracker(g, Options{Seed: 4, SpecialParentOffset: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Publish(1, 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.RecoverNode(3); err != nil {
+		t.Fatalf("recovering a live node: %v", err)
+	}
+	if err := tr.FailNode(12); err != nil {
+		t.Fatalf("FailNode: %v", err)
+	}
+	before := tr.Meter()
+	if err := tr.FailNode(12); err != nil {
+		t.Fatalf("double FailNode: %v", err)
+	}
+	if got := tr.Meter(); got != before {
+		t.Fatalf("double FailNode moved the meter: %+v vs %+v", got, before)
+	}
+	if got := tr.FailedNodes(); len(got) != 1 || got[0] != 12 {
+		t.Fatalf("FailedNodes = %v", got)
+	}
+	if err := tr.RecoverNode(12); err != nil {
+		t.Fatalf("RecoverNode: %v", err)
+	}
+	if err := tr.RecoverNode(12); err != nil {
+		t.Fatalf("double RecoverNode: %v", err)
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatalf("invariants: %v", err)
+	}
+}
+
+// TestIncrementalChurnAvailability is the §7 availability claim at facade
+// scope: while sensors are down, every object on a live proxy
 // stays queryable from live nodes, and the directory passes invariants
 // after each event once the damage is repaired.
 func TestIncrementalChurnAvailability(t *testing.T) {
-	tr, g, locs := incrTracker(t, 8, 8, 5, Options{Seed: 11, UseParentSets: true, SpecialParentOffset: 2})
+	tr, g, locs := churnTracker(t, 8, 8, 5, Options{Seed: 11, UseParentSets: true, SpecialParentOffset: 2})
 	proxies := map[NodeID]bool{}
 	for _, p := range locs {
 		proxies[p] = true
@@ -158,7 +177,7 @@ func TestIncrementalChurnAvailability(t *testing.T) {
 func TestIncrementalThresholdRebuildParksObjects(t *testing.T) {
 	opt := Options{Seed: 8, UseParentSets: true, SpecialParentOffset: 2,
 		Chaos: &ChaosConfig{ChurnThreshold: 0.01}}
-	tr, _, locs := incrTracker(t, 6, 6, 4, opt)
+	tr, _, locs := churnTracker(t, 6, 6, 4, opt)
 	victim := locs[1]
 	if err := tr.FailNode(victim); err != nil {
 		t.Fatalf("FailNode(%d): %v", victim, err)
@@ -216,7 +235,7 @@ func TestRebuildEachEventMatchesRepair(t *testing.T) {
 	run := func(rebuild bool) (*Tracker, []NodeID) {
 		opt := Options{Seed: 13, UseParentSets: true, SpecialParentOffset: 2,
 			Chaos: &ChaosConfig{RebuildEachEvent: rebuild}}
-		tr, g, locs := incrTracker(t, 7, 7, 4, opt)
+		tr, g, locs := churnTracker(t, 7, 7, 4, opt)
 		rng := rand.New(rand.NewSource(31))
 		downAt := []NodeID{5, 17, 40}
 		for _, n := range downAt {
@@ -264,7 +283,7 @@ func TestRebuildEachEventMatchesRepair(t *testing.T) {
 // TestFailNodeKeepsTwoLiveSensors guards the bottom of the liveness range.
 func TestFailNodeKeepsTwoLiveSensors(t *testing.T) {
 	g := Grid(2, 2)
-	tr, err := NewTracker(g, Options{Seed: 2, IncrementalRepair: true})
+	tr, err := NewTracker(g, Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

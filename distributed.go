@@ -41,7 +41,7 @@ func NewDistributed(g *Graph, opt Options) (*Distributed, error) {
 			MaxAttempts: c.MaxAttempts,
 		}, g.N())
 	}
-	return &Distributed{tr: runtime.NewInstrumented(g, hs, inj, opt.Obs)}, nil
+	return &Distributed{tr: runtime.New(g, hs, runtime.Options{Chaos: inj, Obs: opt.Obs})}, nil
 }
 
 // ServeDebug starts the opt-in HTTP diagnostics endpoint (obs snapshot,

@@ -1,29 +1,28 @@
 package mot
 
 import (
+	"errors"
 	"fmt"
-	"sort"
 
+	"repro/internal/dynamics"
 	"repro/internal/graph"
 )
 
 // Dynamic topology (§7): sensors fail and recover while tracking
-// continues. Two regimes share this file.
-//
-// Legacy regime (IncrementalRepair off): FailNode only records damage;
-// the directory heals when the last failed node recovers — per-object
-// trail re-stamps below the churn threshold, a Migrate-style rebuild
-// above it. Queries touching broken trails fail while nodes are down.
-//
-// Incremental regime (Options.IncrementalRepair): every FailNode and
-// RecoverNode is handled immediately by the internal/dynamics engine —
-// hier.Repair re-runs the deterministic greedy MIS only where liveness
-// changed, landing on the exact hierarchy a from-scratch rebuild of the
-// live set would produce, then precisely the trails the event broke are
-// re-stamped. Tracking stays available throughout. Past ChurnThreshold ×
-// N cumulative failures the coarse fallback rebuilds overlay and
-// directory from scratch over the live set, parking objects whose proxy
-// is down until it returns.
+// continues. Every FailNode and RecoverNode is handled immediately by the
+// internal/dynamics engine — hier.Repair re-runs the deterministic greedy
+// MIS only where liveness changed, landing on the exact hierarchy a
+// from-scratch rebuild of the live set would produce, then precisely the
+// trails the event broke are re-stamped. Tracking stays available
+// throughout. Past ChurnThreshold × N cumulative failures the coarse
+// fallback rebuilds overlay and directory from scratch over the live set,
+// parking objects whose proxy is down until it returns.
+
+// ErrChurnUnsupported is returned by FailNode and RecoverNode on trackers
+// whose overlay cannot be repaired in place: the §6 sparse partition
+// (Options.GeneralOverlay) and §5 load-balanced placement
+// (Options.LoadBalance). Match it with errors.Is.
+var ErrChurnUnsupported = errors.New("mot: churn requires the HS overlay without LoadBalance")
 
 // Migrate rebuilds tracking on a changed network — §7's coarse mechanism:
 // fine-grained churn inside clusters is absorbed by the de Bruijn
@@ -56,145 +55,62 @@ func Migrate(old *Tracker, newG *Graph, opt Options, relocate func(NodeID) NodeI
 	return fresh, nil
 }
 
+// FailNode models the crash of sensor n: every directory entry stored at
+// its stations is lost, the overlay is repaired around the exclusion, and
+// broken trails are re-stamped before FailNode returns, so tracking stays
+// available while the node is down. Failing an already-failed node is a
+// defined no-op; failing below two live sensors is an error.
+func (t *Tracker) FailNode(n NodeID) error {
+	return t.churnEvent((*dynamics.Engine).Fail, n)
+}
+
+// RecoverNode brings sensor n back: it is readmitted into the overlay
+// immediately, objects parked on it across a rebuild are re-introduced,
+// and whatever the readmission perturbed is re-stamped. Recovering a node
+// that is not failed is a defined no-op.
+func (t *Tracker) RecoverNode(n NodeID) error {
+	return t.churnEvent((*dynamics.Engine).Recover, n)
+}
+
+// churnEvent applies one liveness flip through the engine.
+func (t *Tracker) churnEvent(apply func(*dynamics.Engine, graph.NodeID) error, n NodeID) error {
+	if t.eng == nil {
+		return ErrChurnUnsupported
+	}
+	t.chaosMu.Lock()
+	defer t.chaosMu.Unlock()
+	if err := apply(t.eng, n); err != nil {
+		return err
+	}
+	t.adoptEngineLocked()
+	return nil
+}
+
 // adoptEngineLocked re-reads the engine's overlay and directory — a
 // threshold rebuild replaces both. Caller holds chaosMu.
 func (t *Tracker) adoptEngineLocked() {
-	t.ov = t.eng.Overlay()
-	t.dir = t.eng.Directory()
-}
-
-// FailNode models the crash of sensor n: every directory entry stored at
-// its stations is lost and stale shortcuts into it are invalidated.
-// Failing an already-failed node is a defined no-op. In the legacy regime
-// the damage is only recorded (queries touching broken trails fail until
-// RecoverNode); under Options.IncrementalRepair the overlay is repaired
-// and broken trails re-stamped before FailNode returns, so tracking stays
-// available while the node is down.
-func (t *Tracker) FailNode(n NodeID) error {
-	if int(n) < 0 || int(n) >= t.g.N() {
-		return fmt.Errorf("mot: fail: node %d out of range [0,%d)", n, t.g.N())
-	}
-	t.chaosMu.Lock()
-	defer t.chaosMu.Unlock()
-	if t.eng != nil {
-		if err := t.eng.Fail(graph.NodeID(n)); err != nil {
-			return err
-		}
-		t.adoptEngineLocked()
-		return nil
-	}
-	if t.failed == nil {
-		t.failed = make(map[NodeID]bool)
-	}
-	if t.damaged == nil {
-		t.damaged = make(map[ObjectID]bool)
-	}
-	if t.failed[n] {
-		return nil
-	}
-	t.failed[n] = true
-	t.churn++
-	for _, o := range t.dir.DropHost(n) {
-		t.damaged[o] = true
-	}
-	return nil
-}
-
-// RecoverNode brings sensor n back; recovering a node that is not failed
-// is a defined no-op. In the legacy regime the directory heals only when
-// the last failed node recovers: each damaged object's trail is
-// re-stamped from its surviving ground-truth proxy (the fine-grained §7
-// path, charged to CostMeter.RecoveryCost) — unless cumulative churn
-// exceeded ChurnThreshold × N, in which case the whole hierarchy is
-// rebuilt through Migrate (the coarse fallback) and the old meter carried
-// over. Under Options.IncrementalRepair the node is readmitted into the
-// overlay immediately, objects parked on it across a rebuild are
-// re-introduced, and whatever the readmission perturbed is re-stamped.
-func (t *Tracker) RecoverNode(n NodeID) error {
-	if int(n) < 0 || int(n) >= t.g.N() {
-		return fmt.Errorf("mot: recover: node %d out of range [0,%d)", n, t.g.N())
-	}
-	t.chaosMu.Lock()
-	defer t.chaosMu.Unlock()
-	if t.eng != nil {
-		if err := t.eng.Recover(graph.NodeID(n)); err != nil {
-			return err
-		}
-		t.adoptEngineLocked()
-		return nil
-	}
-	if t.failed == nil || !t.failed[n] {
-		return nil
-	}
-	delete(t.failed, n)
-	if len(t.failed) > 0 {
-		return nil // heal once the network is whole again
-	}
-	if float64(t.churn) > t.churnThreshold()*float64(t.g.N()) {
-		return t.rebuildLocked()
-	}
-	objs := make([]ObjectID, 0, len(t.damaged))
-	for o := range t.damaged {
-		objs = append(objs, o)
-	}
-	sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
-	for _, o := range objs {
-		if _, ok := t.dir.Location(o); !ok {
-			continue // unpublished while damaged
-		}
-		if err := t.dir.Repair(o); err != nil {
-			return fmt.Errorf("mot: recover: %w", err)
-		}
-	}
-	t.damaged = make(map[ObjectID]bool)
-	t.churn = 0
-	return nil
-}
-
-// rebuildLocked is the coarse §7 fallback of the legacy regime: migrate
-// onto a fresh hierarchy over the same network (identity relocation) and
-// adopt it in place, preserving accumulated costs. Caller holds chaosMu.
-func (t *Tracker) rebuildLocked() error {
-	fresh, err := Migrate(t, t.g, t.opt, nil)
-	if err != nil {
-		return fmt.Errorf("mot: rebuild past churn threshold: %w", err)
-	}
-	fresh.dir.AbsorbMeter(t.dir.Meter())
-	t.m, t.dm, t.ov, t.dir, t.cfg = fresh.m, fresh.dm, fresh.ov, fresh.dir, fresh.cfg
-	t.damaged = make(map[ObjectID]bool)
-	t.churn = 0
-	return nil
+	t.ov, t.dir = t.eng.Overlay(), t.eng.Directory()
 }
 
 // FailedNodes lists the currently failed sensors, sorted.
 func (t *Tracker) FailedNodes() []NodeID {
+	if t.eng == nil {
+		return nil
+	}
 	t.chaosMu.Lock()
 	defer t.chaosMu.Unlock()
-	if t.eng != nil {
-		failed := t.eng.FailedNodes()
-		out := make([]NodeID, len(failed))
-		for i, n := range failed {
-			out[i] = NodeID(n)
-		}
-		return out
-	}
-	out := make([]NodeID, 0, len(t.failed))
-	for n := range t.failed {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return t.eng.FailedNodes()
 }
 
 // ParkedObjects lists the objects currently stranded on a failed proxy
 // across a coarse rebuild, sorted; they re-enter the directory when their
-// node recovers. Always empty in the legacy regime.
+// node recovers.
 func (t *Tracker) ParkedObjects() []ObjectID {
-	t.chaosMu.Lock()
-	defer t.chaosMu.Unlock()
 	if t.eng == nil {
 		return nil
 	}
+	t.chaosMu.Lock()
+	defer t.chaosMu.Unlock()
 	return t.eng.ParkedObjects()
 }
 
@@ -202,11 +118,10 @@ func (t *Tracker) ParkedObjects() []ObjectID {
 // left" half of §7 dynamics); its trail is erased root to proxy.
 // Re-introducing the object later is a fresh Publish.
 func (t *Tracker) Unpublish(o ObjectID) error {
+	if t.eng == nil {
+		return t.dir.Unpublish(o)
+	}
 	t.chaosMu.Lock()
 	defer t.chaosMu.Unlock()
-	if t.eng != nil {
-		return t.eng.Unpublish(o)
-	}
-	delete(t.damaged, o)
-	return t.dir.Unpublish(o)
+	return t.eng.Unpublish(o)
 }

@@ -328,7 +328,7 @@ func runtimeOps(name string, lrec *live.Recorder) Result {
 	if err != nil {
 		panic(err)
 	}
-	tr := motruntime.NewLive(g, hs, nil, nil, lrec)
+	tr := motruntime.New(g, hs, motruntime.Options{Live: lrec})
 	defer tr.Stop()
 	if err := tr.Publish(1, 0); err != nil {
 		panic(err)

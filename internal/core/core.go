@@ -22,6 +22,15 @@ import (
 // ObjectID identifies a distinct mobile object (the paper's o_1..o_m).
 type ObjectID int
 
+// lbThreshold is the detection-list size at which a station starts
+// distributing its entries across its cluster ("the load balancing
+// procedure of MOT kicks in when a maintenance operation floods the
+// detection list of an internal node", §8). Stations below it keep
+// entries local and pay no routing surcharge. 4 sits well under the
+// load-10 bound the paper's Figs. 8–11 highlight, since one sensor hosts
+// several stations.
+const lbThreshold = 4
+
 // Config controls directory behavior.
 type Config struct {
 	// CountSpecialParentCost folds SDL registration/cleanup messages into
@@ -33,15 +42,6 @@ type Config struct {
 	// nodes (§5 load balancing). Nil means entries live on the station's
 	// own host.
 	Placement Placement
-	// LBThreshold is the detection-list size at which a station starts
-	// distributing its entries across its cluster ("the load balancing
-	// procedure of MOT kicks in when a maintenance operation floods the
-	// detection list of an internal node", §8). Stations below the
-	// threshold keep entries local and pay no routing surcharge. Zero
-	// defaults to 4 (well under the load-10 bound the paper's Figs. 8–11
-	// highlight, since one sensor hosts several stations); negative
-	// distributes unconditionally.
-	LBThreshold int
 	// CountLBRouteCost folds the intra-cluster routing surcharge into the
 	// operation costs (the Corollary 5.2 cost model). Like the
 	// special-parent cost, the paper's reported ratios treat it as a
@@ -136,12 +136,6 @@ type Directory struct {
 func New(ov overlay.Overlay, cfg Config) *Directory {
 	if cfg.Placement == nil {
 		cfg.Placement = HostPlacement{}
-	}
-	switch {
-	case cfg.LBThreshold == 0:
-		cfg.LBThreshold = 4
-	case cfg.LBThreshold < 0:
-		cfg.LBThreshold = 0 // distribute unconditionally
 	}
 	d := &Directory{
 		ov:    ov,

@@ -385,7 +385,7 @@ func (d *Directory) distributed(st overlay.Station) bool {
 		return false
 	}
 	s, ok := d.peek(st)
-	return ok && len(s.dl) >= d.cfg.LBThreshold
+	return ok && len(s.dl) >= lbThreshold
 }
 
 // addSpecialCost accounts an SDL maintenance message; folded into MaintCost

@@ -4,14 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync/atomic"
 
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/hier"
 	"repro/internal/mobility"
 	motruntime "repro/internal/runtime"
-	"repro/internal/runtime/track"
 	"repro/internal/sim"
 )
 
@@ -117,42 +115,17 @@ type ChaosResult struct {
 // through the goroutine runtime (drops and delays with retry/backoff).
 func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	cfg.fill()
-	res := &ChaosResult{Config: cfg, Schedules: make([]ChaosSchedule, cfg.Schedules)}
-	errs := make([]error, cfg.Schedules)
-	workers := cfg.Workers
-	if workers > cfg.Schedules {
-		workers = cfg.Schedules
-	}
-	var failed atomic.Bool
-	jobs := make(chan int)
-	var pool track.Group
-	for w := 0; w < workers; w++ {
-		pool.Go(func() {
-			for i := range jobs {
-				if failed.Load() {
-					continue
-				}
-				sched, err := runChaosSchedule(cfg, i)
-				if err != nil {
-					errs[i] = fmt.Errorf("experiments: chaos schedule %d: %w", i, err)
-					failed.Store(true)
-					continue
-				}
-				res.Schedules[i] = sched
-			}
-		})
-	}
-	for i := 0; i < cfg.Schedules; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	pool.Wait()
-	for _, err := range errs {
+	scheds, err := orderedPool(cfg.Workers, cfg.Schedules, func(i int) (ChaosSchedule, error) {
+		sched, err := runChaosSchedule(cfg, i)
 		if err != nil {
-			return nil, err
+			return sched, fmt.Errorf("experiments: chaos schedule %d: %w", i, err)
 		}
+		return sched, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return &ChaosResult{Config: cfg, Schedules: scheds}, nil
 }
 
 // runChaosSchedule runs one seeded schedule on both substrates.
@@ -221,7 +194,7 @@ func runChaosSchedule(cfg ChaosConfig, idx int) (ChaosSchedule, error) {
 		DelayFactor: cfg.DelayFactor,
 		MaxAttempts: cfg.MaxAttempts,
 	}, g.N())
-	tr := motruntime.NewChaos(g, hs, rinj)
+	tr := motruntime.New(g, hs, motruntime.Options{Chaos: rinj})
 	defer tr.Stop()
 	countFail := func(err error) error {
 		var de *chaos.DeliveryError

@@ -5,7 +5,6 @@ import (
 	"io"
 	"math/rand"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/chaos"
 	"repro/internal/core"
@@ -16,7 +15,6 @@ import (
 	"repro/internal/mobility"
 	"repro/internal/obs/live"
 	motruntime "repro/internal/runtime"
-	"repro/internal/runtime/track"
 )
 
 // ChurnConfig parameterizes the sustained-churn tier: seeded fail/recover
@@ -185,42 +183,17 @@ type ChurnResult struct {
 // and returns their outcomes in schedule order.
 func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 	cfg.fill()
-	res := &ChurnResult{Config: cfg, Schedules: make([]ChurnSchedule, cfg.Schedules)}
-	errs := make([]error, cfg.Schedules)
-	workers := cfg.Workers
-	if workers > cfg.Schedules {
-		workers = cfg.Schedules
-	}
-	var failed atomic.Bool
-	jobs := make(chan int)
-	var pool track.Group
-	for w := 0; w < workers; w++ {
-		pool.Go(func() {
-			for i := range jobs {
-				if failed.Load() {
-					continue
-				}
-				sched, err := runChurnSchedule(cfg, i)
-				if err != nil {
-					errs[i] = fmt.Errorf("experiments: churn schedule %d: %w", i, err)
-					failed.Store(true)
-					continue
-				}
-				res.Schedules[i] = sched
-			}
-		})
-	}
-	for i := 0; i < cfg.Schedules; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	pool.Wait()
-	for _, err := range errs {
+	scheds, err := orderedPool(cfg.Workers, cfg.Schedules, func(i int) (ChurnSchedule, error) {
+		sched, err := runChurnSchedule(cfg, i)
 		if err != nil {
-			return nil, err
+			return sched, fmt.Errorf("experiments: churn schedule %d: %w", i, err)
 		}
+		return sched, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return &ChurnResult{Config: cfg, Schedules: scheds}, nil
 }
 
 // churnSubstrate resolves a schedule's grid and distance oracle.
@@ -467,7 +440,7 @@ func issueOp(dir *core.Directory, op churnOp) error {
 // succeed.
 func replayChurnOnRuntime(g *graph.Graph, hs *hier.Hierarchy, locs []graph.NodeID, events []churnOp, lrec *live.Recorder) (int, error) {
 	inj := chaos.NewInjector(chaos.Config{Seed: 1, MaxAttempts: 4}, g.N())
-	tr := motruntime.NewLive(g, hs, inj, nil, lrec)
+	tr := motruntime.New(g, hs, motruntime.Options{Chaos: inj, Live: lrec})
 	defer tr.Stop()
 	failedOps := 0
 	for o, at := range locs {

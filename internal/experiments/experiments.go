@@ -11,14 +11,12 @@ package experiments
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/hier"
 	"repro/internal/lb"
 	"repro/internal/mobility"
-	"repro/internal/runtime/track"
 	"repro/internal/stun"
 	"repro/internal/treedir"
 	"repro/internal/zdat"
@@ -187,49 +185,18 @@ func RunCostRatio(cfg CostRatioConfig) (*CostRatioResult, error) {
 	return res, nil
 }
 
-// runCells executes sweep cells on a bounded worker pool and returns the
-// per-cell meters indexed like cells. On failure it reports the error of
-// the earliest cell that failed (deterministic even when several workers
-// fail at once) and stops handing out further cells.
+// runCells executes sweep cells on the ordered pool and returns the
+// per-cell meters indexed like cells.
 func runCells(cfg CostRatioConfig, cells []sweepCell) ([][]core.CostMeter, error) {
-	meters := make([][]core.CostMeter, len(cells))
-	errs := make([]error, len(cells))
-	workers := cfg.Workers
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	var failed atomic.Bool
-	jobs := make(chan int)
-	var pool track.Group
-	for w := 0; w < workers; w++ {
-		pool.Go(func() {
-			for ci := range jobs {
-				if failed.Load() {
-					continue
-				}
-				c := cells[ci]
-				n := cfg.Sizes[c.si]
-				ms, err := runOne(cfg, n, mobility.StreamSeed(cfg.BaseSeed, n, c.seedIdx))
-				if err != nil {
-					errs[ci] = fmt.Errorf("experiments: size %d seed %d: %w", n, c.seedIdx, err)
-					failed.Store(true)
-					continue
-				}
-				meters[ci] = ms
-			}
-		})
-	}
-	for ci := range cells {
-		jobs <- ci
-	}
-	close(jobs)
-	pool.Wait()
-	for _, err := range errs {
+	return orderedPool(cfg.Workers, len(cells), func(ci int) ([]core.CostMeter, error) {
+		c := cells[ci]
+		n := cfg.Sizes[c.si]
+		ms, err := runOne(cfg, n, mobility.StreamSeed(cfg.BaseSeed, n, c.seedIdx))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("experiments: size %d seed %d: %w", n, c.seedIdx, err)
 		}
-	}
-	return meters, nil
+		return ms, nil
+	})
 }
 
 // runOne runs all four algorithms on one grid/seed and returns their

@@ -7,7 +7,6 @@ import (
 	"repro/internal/hier"
 	"repro/internal/lb"
 	"repro/internal/mobility"
-	"repro/internal/runtime/track"
 	"repro/internal/stats"
 	"repro/internal/treedir"
 )
@@ -79,68 +78,55 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 	// The two sides only read g, m, w, and rates, so with Workers>1 they
 	// run concurrently; each side's load vector depends on nothing but
 	// its own replay, so the result is the same either way.
-	var motLoad, baseLoad []int
-	motSide := func() error {
+	motSide := func() ([]int, error) {
 		hs, err := hierSubstrate(cfg.Nodes, g, m, hier.Config{Seed: cfg.Seed, SpecialParentOffset: 2}, cfg.DisableSubstrateCache)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		mot := core.New(hs, core.Config{Placement: lb.New(hs)})
 		for o, at := range w.Initial {
 			if err := mot.Publish(core.ObjectID(o), at); err != nil {
-				return err
+				return nil, err
 			}
 		}
 		for _, mv := range w.Moves {
 			if err := mot.Move(mv.Object, mv.To); err != nil {
-				return err
+				return nil, err
 			}
 		}
-		motLoad = mot.LoadByNode(g.N())
-		return nil
+		return mot.LoadByNode(g.N()), nil
 	}
-	baseSide := func() error {
+	baseSide := func() ([]int, error) {
 		t, tc, err := baselineTree(cfg.Baseline, g, m, rates, cfg.ZoneDepth)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		base, err := treedir.New(t, m, tc)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		for o, at := range w.Initial {
 			if err := base.Publish(core.ObjectID(o), at); err != nil {
-				return err
+				return nil, err
 			}
 		}
 		for _, mv := range w.Moves {
 			if err := base.Move(mv.Object, mv.To); err != nil {
-				return err
+				return nil, err
 			}
 		}
-		baseLoad = base.LoadByNode(g.N())
-		return nil
+		return base.LoadByNode(g.N()), nil
 	}
-	if cfg.Workers > 1 {
-		var sides track.Group
-		var motErr, baseErr error
-		sides.Go(func() { motErr = motSide() })
-		sides.Go(func() { baseErr = baseSide() })
-		sides.Wait()
-		if motErr != nil {
-			return nil, motErr
+	loads, err := orderedPool(cfg.Workers, 2, func(side int) ([]int, error) {
+		if side == 0 {
+			return motSide()
 		}
-		if baseErr != nil {
-			return nil, baseErr
-		}
-	} else {
-		if err := motSide(); err != nil {
-			return nil, err
-		}
-		if err := baseSide(); err != nil {
-			return nil, err
-		}
+		return baseSide()
+	})
+	if err != nil {
+		return nil, err
 	}
+	motLoad, baseLoad := loads[0], loads[1]
 
 	return &LoadResult{
 		Config:       cfg,

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/hier"
@@ -12,7 +11,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/live"
 	motruntime "repro/internal/runtime"
-	"repro/internal/runtime/track"
 	"repro/internal/sim"
 )
 
@@ -141,40 +139,22 @@ func RunObs(cfg ObsConfig) (*ObsResult, error) {
 		Recorders: make([]*obs.Recorder, len(ObsRuns)),
 		Live:      make([]*live.Recorder, len(ObsRuns)),
 	}
-	errs := make([]error, len(ObsRuns))
-	workers := cfg.Workers
-	if workers > len(ObsRuns) {
-		workers = len(ObsRuns)
+	type obsOut struct {
+		rec  *obs.Recorder
+		lrec *live.Recorder
 	}
-	var failed atomic.Bool
-	jobs := make(chan int)
-	var pool track.Group
-	for w := 0; w < workers; w++ {
-		pool.Go(func() {
-			for ri := range jobs {
-				if failed.Load() {
-					continue
-				}
-				rec, lrec, err := runObsOne(cfg, ObsRuns[ri], seed)
-				if err != nil {
-					errs[ri] = fmt.Errorf("experiments: obs run %s: %w", ObsRuns[ri], err)
-					failed.Store(true)
-					continue
-				}
-				res.Recorders[ri] = rec
-				res.Live[ri] = lrec
-			}
-		})
-	}
-	for ri := range ObsRuns {
-		jobs <- ri
-	}
-	close(jobs)
-	pool.Wait()
-	for _, err := range errs {
+	outs, err := orderedPool(cfg.Workers, len(ObsRuns), func(ri int) (obsOut, error) {
+		rec, lrec, err := runObsOne(cfg, ObsRuns[ri], seed)
 		if err != nil {
-			return nil, err
+			return obsOut{}, fmt.Errorf("experiments: obs run %s: %w", ObsRuns[ri], err)
 		}
+		return obsOut{rec, lrec}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for ri, o := range outs {
+		res.Recorders[ri], res.Live[ri] = o.rec, o.lrec
 	}
 	return res, nil
 }
@@ -228,7 +208,7 @@ func runObsOne(cfg ObsConfig, name string, seed int64) (*obs.Recorder, *live.Rec
 		if cfg.LiveTelemetry {
 			lrec = live.New(name, live.Config{Seed: seed})
 		}
-		tr := motruntime.NewLive(g, hs, nil, rec, lrec)
+		tr := motruntime.New(g, hs, motruntime.Options{Obs: rec, Live: lrec})
 		defer tr.Stop()
 		if err := replayRuntime(tr, w); err != nil {
 			return nil, nil, err

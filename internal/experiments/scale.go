@@ -3,14 +3,12 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/hier"
 	"repro/internal/lb"
 	"repro/internal/mobility"
-	"repro/internal/runtime/track"
 )
 
 // ScaleConfig parameterizes the large-network cost-ratio sweep: MOT-only
@@ -128,42 +126,17 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 		stretch float64
 		oracle  bool
 	}
-	outs := make([]cellOut, len(cells))
-	errs := make([]error, len(cells))
-	workers := cfg.Workers
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	var failed atomic.Bool
-	jobs := make(chan int)
-	var pool track.Group
-	for w := 0; w < workers; w++ {
-		pool.Go(func() {
-			for ci := range jobs {
-				if failed.Load() {
-					continue
-				}
-				c := cells[ci]
-				n := cfg.Sizes[c.si]
-				meter, stretch, oracle, err := runScaleCell(cfg, n, mobility.StreamSeed(cfg.BaseSeed, n, c.seedIdx))
-				if err != nil {
-					errs[ci] = fmt.Errorf("experiments: scale size %d seed %d: %w", n, c.seedIdx, err)
-					failed.Store(true)
-					continue
-				}
-				outs[ci] = cellOut{meter: meter, stretch: stretch, oracle: oracle}
-			}
-		})
-	}
-	for ci := range cells {
-		jobs <- ci
-	}
-	close(jobs)
-	pool.Wait()
-	for _, err := range errs {
+	outs, err := orderedPool(cfg.Workers, len(cells), func(ci int) (cellOut, error) {
+		c := cells[ci]
+		n := cfg.Sizes[c.si]
+		meter, stretch, oracle, err := runScaleCell(cfg, n, mobility.StreamSeed(cfg.BaseSeed, n, c.seedIdx))
 		if err != nil {
-			return nil, err
+			return cellOut{}, fmt.Errorf("experiments: scale size %d seed %d: %w", n, c.seedIdx, err)
 		}
+		return cellOut{meter: meter, stretch: stretch, oracle: oracle}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Deterministic merge in (size, seedIndex) order.

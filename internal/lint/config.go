@@ -52,11 +52,6 @@ type Config struct {
 	// reason at the loop, or a sorted-keys helper).
 	MapRangeAllowed []string
 
-	// DistLoopAllowed lists library packages exempt from the distloop
-	// rule (none by default — hot loops should hoist the Metric row via
-	// Row and index it rather than calling Dist per iteration).
-	DistLoopAllowed []string
-
 	// HotPathDepth bounds how far the hotalloc rule propagates the
 	// //motlint:hotpath obligation through the intra-module call graph:
 	// an annotated function is depth 0, its static callees depth 1, and
@@ -94,7 +89,7 @@ type Config struct {
 // every one of its fields.
 type MeterSpec struct {
 	// Type is the struct name, matched in any package (fixture packages
-	// declare their own copy, like the distloop fixture's Metric).
+	// declare their own copy of the metered struct).
 	Type string
 	// Aggregators are function or method names in the struct's own
 	// package. Each must reference every field of the struct, or
@@ -125,7 +120,6 @@ func Default() Config {
 		PrintAllowed:      []string{"repro/internal/report"},
 		PrintAllowedFiles: []string{"repro/internal/obs/export.go"},
 		MapRangeAllowed:   nil,
-		DistLoopAllowed:   nil,
 		HotPathDepth:      4,
 		HotAllocStop: []string{
 			"repro/internal/obs",

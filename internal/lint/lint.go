@@ -13,7 +13,6 @@
 //	walltime    simulation library code never reads the wall clock
 //	barego      goroutines launch via internal/runtime/track.Group only
 //	printlib    library code writes to an io.Writer, never os.Stdout
-//	distloop    loop-invariant Metric.Dist sources hoist to Row + index
 //	hotalloc    //motlint:hotpath functions (and their static callees)
 //	            must not contain allocation-inducing constructs
 //	lockfield   mutex-guarded struct fields are never accessed plain,
@@ -98,7 +97,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		MapRange, GlobalRand, WallTime, BareGo, PrintLib, DistLoop,
+		MapRange, GlobalRand, WallTime, BareGo, PrintLib,
 		HotAlloc, LockField, MeterFields, CtxLeak,
 	}
 }

@@ -17,8 +17,7 @@ import (
 // calling another listed aggregator. When a spec names a CSV exporter,
 // that function must mention every field — snake_cased — as a header
 // token in its string literals, so the field also reaches the artifact.
-// Structs are matched by name, as with the distloop rule's Metric:
-// fixtures declare their own copy.
+// Structs are matched by name, so fixtures can declare their own copy.
 var MeterFields = &Analyzer{
 	Name: "meterfields",
 	Doc:  "every metered-struct field must reach the aggregators and the CSV header",

@@ -1,6 +1,6 @@
 // Package meterfields exercises the meterfields rule with a local copy
-// of the metered CostMeter shape (structs are matched by name, like the
-// distloop fixture's Metric).
+// of the metered CostMeter shape (structs are matched by name, so the
+// fixture cannot import the real one).
 package meterfields
 
 type CostMeter struct {

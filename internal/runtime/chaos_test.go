@@ -19,7 +19,7 @@ func newChaosTracker(t testing.TB, w, h int, cfg chaos.Config) (*Tracker, *graph
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewChaos(g, hs, chaos.NewInjector(cfg, g.N()))
+	tr := New(g, hs, Options{Chaos: chaos.NewInjector(cfg, g.N())})
 	t.Cleanup(tr.Stop)
 	return tr, g
 }

@@ -120,7 +120,7 @@ func (t *Tracker) debugMux() *http.ServeMux {
 // "127.0.0.1:0" for an ephemeral port): /debug/obs serves the current
 // observability snapshot as JSON, /debug/load the per-node entry counts,
 // /debug/live and /debug/live/samples the wall-clock latency snapshot
-// and sampled spans when the tracker was built with NewLive, and the
+// and sampled spans when the tracker was built with Options.Live, and the
 // standard expvar and pprof handlers ride along. With live telemetry
 // attached, the snapshot republishes once a second and is also exposed
 // as the expvar "live.<label>". Strictly opt-in — nothing listens

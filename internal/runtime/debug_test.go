@@ -27,7 +27,7 @@ func newLiveTracker(t testing.TB, w, h int) (*Tracker, *live.Recorder) {
 		t.Fatal(err)
 	}
 	lrec := live.New("runtime-test", live.Config{SampleSize: 64, Seed: 1})
-	tr := NewLive(g, hs, nil, obs.New("runtime"), lrec)
+	tr := New(g, hs, Options{Obs: obs.New("runtime"), Live: lrec})
 	t.Cleanup(tr.Stop)
 	return tr, lrec
 }
@@ -186,7 +186,7 @@ func TestRaceDebugCloseDuringStop(t *testing.T) {
 			t.Fatal(err)
 		}
 		lrec := live.New("race-debug", live.Config{SampleSize: 32, Seed: 1})
-		tr := NewLive(g, hs, nil, nil, lrec)
+		tr := New(g, hs, Options{Live: lrec})
 		srv, err := tr.ServeDebug("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -265,7 +265,7 @@ func TestLiveOverheadBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr := NewLive(g, hs, nil, nil, lrec)
+		tr := New(g, hs, Options{Live: lrec})
 		defer tr.Stop()
 		if err := tr.Publish(1, 0); err != nil {
 			t.Fatal(err)

@@ -22,7 +22,7 @@ func newObsTracker(t testing.TB, w, h int) (*Tracker, *obs.Recorder) {
 		t.Fatal(err)
 	}
 	rec := obs.New("runtime")
-	tr := NewInstrumented(g, hs, nil, rec)
+	tr := New(g, hs, Options{Obs: rec})
 	t.Cleanup(tr.Stop)
 	return tr, rec
 }

@@ -9,7 +9,7 @@
 // The measured reproductions use the sequential engine (internal/core) and
 // the discrete-event simulator (internal/sim); this package demonstrates
 // the same protocol running on real concurrent nodes and backs the
-// examples. Operations can be observed via NewInstrumented (spans and
+// examples. Operations can be observed via Options.Obs (spans and
 // per-node metrics on a cost clock, see obs.go) and the opt-in debug
 // HTTP endpoint (debug.go).
 package runtime
@@ -133,36 +133,35 @@ type Tracker struct {
 	live *live.Recorder
 }
 
+// Options configures a Tracker; the zero value runs fault-free with
+// observability off.
+type Options struct {
+	// Chaos routes every message delivery through the fault injector.
+	// Dropped attempts are retried up to the injector's MaxAttempts with
+	// exponential backoff accounted in simulated time (no wall-clock
+	// sleeping); exhausting the budget surfaces a typed
+	// *chaos.DeliveryError on the blocked operation instead of hanging
+	// it. Nil injects no faults.
+	Chaos *chaos.Injector
+	// Obs records spans and per-node metrics on the runtime's logical
+	// cost clock (see obs.go). Nil disables it.
+	Obs *obs.Recorder
+	// Live is a wall-clock telemetry sink: each public operation's real
+	// elapsed time lands in its histograms and span reservoir. Unlike
+	// Obs, its data is non-deterministic by design and never reaches
+	// measured artifacts — it surfaces only through ServeDebug, expvar,
+	// and summaries. Nil keeps the zero-allocation disabled path.
+	Live *live.Recorder
+}
+
 // New starts a tracker: one goroutine per sensor node of the overlay's
-// graph. Call Stop when done.
-func New(g *graph.Graph, ov overlay.Overlay) *Tracker {
-	return NewChaos(g, ov, nil)
-}
-
-// NewChaos starts a tracker whose message deliveries pass through the
-// given fault injector (nil behaves exactly like New). Dropped attempts
-// are retried up to the injector's MaxAttempts with exponential backoff
-// accounted in simulated time (no wall-clock sleeping); exhausting the
-// budget surfaces a typed *chaos.DeliveryError on the blocked operation
-// instead of hanging it.
-func NewChaos(g *graph.Graph, ov overlay.Overlay, inj *chaos.Injector) *Tracker {
-	return NewInstrumented(g, ov, inj, nil)
-}
-
-// NewInstrumented starts a tracker whose operations additionally record
-// spans and per-node metrics into rec (nil rec behaves exactly like
-// NewChaos). The runtime's logical clock is a cost clock — see obs.go.
-func NewInstrumented(g *graph.Graph, ov overlay.Overlay, inj *chaos.Injector, rec *obs.Recorder) *Tracker {
-	return NewLive(g, ov, inj, rec, nil)
-}
-
-// NewLive is NewInstrumented plus a wall-clock telemetry sink: each
-// public operation's real elapsed time lands in lrec's histograms and
-// span reservoir (nil lrec behaves exactly like NewInstrumented and
-// keeps the zero-allocation disabled path). Unlike rec, lrec's data is
-// non-deterministic by design and never reaches measured artifacts —
-// it surfaces only through ServeDebug, expvar, and summaries.
-func NewLive(g *graph.Graph, ov overlay.Overlay, inj *chaos.Injector, rec *obs.Recorder, lrec *live.Recorder) *Tracker {
+// graph. At most one Options may be given; omitting it is the zero
+// value. Call Stop when done.
+func New(g *graph.Graph, ov overlay.Overlay, opt ...Options) *Tracker {
+	var o Options
+	if len(opt) > 0 {
+		o = opt[0]
+	}
 	t := &Tracker{
 		g:       g,
 		m:       ov.Metric(),
@@ -172,10 +171,10 @@ func NewLive(g *graph.Graph, ov overlay.Overlay, inj *chaos.Injector, rec *obs.R
 		slots:   make([]map[slotKey]*slotState, g.N()),
 		loc:     make(map[core.ObjectID]graph.NodeID),
 		objMu:   make(map[core.ObjectID]*sync.Mutex),
-		inj:     inj,
+		inj:     o.Chaos,
 		crashed: make([]bool, g.N()),
-		obs:     rec,
-		live:    lrec,
+		obs:     o.Obs,
+		live:    o.Live,
 	}
 	for i := range t.inboxes {
 		t.inboxes[i] = make(chan message, 256)

@@ -98,15 +98,22 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// admitted rejects new work once a drain has begun. The HTTP server's
-// own Shutdown already stops accepting connections; this flag covers
-// handlers mounted without one (tests driving Handler directly).
+// admitted rejects new work once a drain has begun and counts every
+// admitted handler in s.handlers, which the caller must mark Done on
+// return. The HTTP server's own Shutdown already waits for its handlers;
+// the count covers handlers mounted on a caller's listener via Handler,
+// which Shutdown must also outwait before it stops the drain loops.
 func (s *Server) admitted(w http.ResponseWriter) bool {
-	if s.draining.Load() {
-		writeErr(w, http.StatusServiceUnavailable, "server draining")
-		return false
+	s.admitMu.RLock()
+	ok := !s.draining
+	if ok {
+		s.handlers.Add(1)
 	}
-	return true
+	s.admitMu.RUnlock()
+	if !ok {
+		writeErr(w, http.StatusServiceUnavailable, "server draining")
+	}
+	return ok
 }
 
 // reject answers 429 with the contract's Retry-After hint.
@@ -146,6 +153,7 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	if !s.admitted(w) {
 		return
 	}
+	defer s.handlers.Done()
 	var req publishRequest
 	if !decodeBody(w, r, &req) {
 		return
@@ -174,6 +182,7 @@ func (s *Server) handleMove(w http.ResponseWriter, r *http.Request) {
 	if !s.admitted(w) {
 		return
 	}
+	defer s.handlers.Done()
 	var req moveRequest
 	if !decodeBody(w, r, &req) {
 		return
@@ -206,6 +215,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !s.admitted(w) {
 		return
 	}
+	defer s.handlers.Done()
 	objRaw := r.PathValue("object")
 	objN, err := strconv.ParseInt(objRaw, 10, 64)
 	if err != nil {
@@ -257,6 +267,7 @@ func (s *Server) drillHandler(action string) http.HandlerFunc {
 		if !s.admitted(w) {
 			return
 		}
+		defer s.handlers.Done()
 		raw := r.PathValue("node")
 		n, err := strconv.ParseInt(raw, 10, 64)
 		if err != nil {

@@ -138,9 +138,15 @@ type Server struct {
 
 	rejected atomic.Int64 // 429s across all endpoints
 
-	httpMu   sync.Mutex
-	httpSrv  *http.Server
-	draining atomic.Bool
+	httpMu  sync.Mutex
+	httpSrv *http.Server
+
+	// admitMu orders admission against Shutdown: handlers admit under
+	// RLock and Shutdown sets draining under Lock, so every admitted
+	// handler is counted in handlers before Shutdown waits on them.
+	admitMu  sync.RWMutex
+	draining bool
+	handlers sync.WaitGroup
 
 	closeOnce sync.Once
 	closeErr  error
@@ -245,7 +251,9 @@ func (s *Server) ListenAndServe(addr string) error {
 // returns the first drain's error.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.closeOnce.Do(func() {
-		s.draining.Store(true)
+		s.admitMu.Lock()
+		s.draining = true
+		s.admitMu.Unlock()
 		var err error
 		s.httpMu.Lock()
 		srv := s.httpSrv
@@ -257,6 +265,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 				err = srv.Close()
 			}
 		}
+		s.handlers.Wait()
 		for _, sh := range s.shards {
 			sh.stopLoop()
 		}
@@ -295,7 +304,7 @@ func newShard(i int, s *Server, g *graph.Graph, ov overlay.Overlay) *shard {
 		id:    i,
 		srv:   s,
 		live:  lrec,
-		tr:    runtime.NewLive(g, ov, newInjector(s.cfg, i, g.N()), nil, lrec),
+		tr:    runtime.New(g, ov, runtime.Options{Chaos: newInjector(s.cfg, i, g.N()), Live: lrec}),
 		moveQ: make(chan moveReq, s.cfg.QueueDepth),
 		sem:   make(chan struct{}, s.cfg.Inflight),
 		quit:  make(chan struct{}),

@@ -182,12 +182,13 @@ func TestServeShardPartition(t *testing.T) {
 
 // TestServeCoalescing feeds one batch with a burst of moves for the
 // same object through applyBatch directly: the tracker sees exactly one
-// move (the latest position), superseded requests ack as coalesced, and
-// an interleaved second object is untouched by the collapse.
+// move (the latest position), superseded requests ack as coalesced — even
+// one whose target equals the winner's — and an interleaved second object
+// is untouched by the collapse.
 func TestServeCoalescing(t *testing.T) {
 	s, _ := newTestServer(t, Config{Shards: 1, Nodes: 36, Seed: 1})
 	sh := s.shards[0]
-	for o := 1; o <= 2; o++ {
+	for o := 1; o <= 3; o++ {
 		if err := sh.tr.Publish(core.ObjectID(o), 0); err != nil {
 			t.Fatal(err)
 		}
@@ -197,10 +198,10 @@ func TestServeCoalescing(t *testing.T) {
 	mk := func(o, to int) moveReq {
 		return moveReq{obj: core.ObjectID(o), to: graph.NodeID(to), done: make(chan moveResult, 1)}
 	}
-	batch := []moveReq{mk(1, 5), mk(2, 9), mk(1, 11), mk(1, 23)}
+	batch := []moveReq{mk(1, 5), mk(2, 9), mk(1, 11), mk(3, 7), mk(1, 23), mk(3, 7)}
 	sh.applyBatch(batch)
 
-	wantCoalesced := []bool{true, false, true, false}
+	wantCoalesced := []bool{true, false, true, true, false, false}
 	for i, req := range batch {
 		res := <-req.done
 		if res.err != nil {
@@ -216,11 +217,14 @@ func TestServeCoalescing(t *testing.T) {
 	if loc, _ := sh.tr.Location(2); loc != 9 {
 		t.Fatalf("object 2 at %d, want 9", loc)
 	}
+	if loc, _ := sh.tr.Location(3); loc != 7 {
+		t.Fatalf("object 3 at %d, want 7", loc)
+	}
 
-	// The collapse must be visible at the tracker: 4 queued moves, but
-	// only 2 maintenance ops recorded (one per object in the batch).
-	if got := sh.live.Snapshot().Total.Count - opsBefore; got != 2 {
-		t.Fatalf("tracker ops for the batch = %d, want 2 (coalesced)", got)
+	// The collapse must be visible at the tracker: 6 queued moves, but
+	// only 3 maintenance ops recorded (one per object in the batch).
+	if got := sh.live.Snapshot().Total.Count - opsBefore; got != 3 {
+		t.Fatalf("tracker ops for the batch = %d, want 3 (coalesced)", got)
 	}
 }
 

@@ -138,8 +138,8 @@ func (sh *shard) applyBatch(batch []moveReq) {
 	for _, group := range groups {
 		winner := group[len(group)-1]
 		err := sh.tr.Move(winner.obj, winner.to)
-		for _, req := range group {
-			req.done <- moveResult{err: err, coalesced: req.to != winner.to}
+		for i, req := range group {
+			req.done <- moveResult{err: err, coalesced: i != len(group)-1}
 		}
 	}
 }

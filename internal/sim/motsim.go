@@ -11,17 +11,19 @@ import (
 	"repro/internal/overlay"
 )
 
+// phiBase is φ in the per-level period Φ(i) = 2^i·φ (§4.1.2); the theory
+// uses 2^(3ρ+6), experiments a small constant.
+const phiBase = 4
+
+// maxRestarts bounds the number of times one query may restart its climb
+// after losing a trail to a concurrent delete.
+const maxRestarts = 10000
+
 // Config controls the concurrent MOT simulation.
 type Config struct {
-	// PhiBase is φ in the per-level period Φ(i) = 2^i·φ (§4.1.2); the
-	// theory uses 2^(3ρ+6), experiments a small constant. Default 4.
-	PhiBase float64
 	// PeriodSync gates level crossings at period boundaries; disabling it
 	// is an ablation (pipelining alone still guarantees consistency).
 	PeriodSync bool
-	// MaxRestarts bounds the number of times one query may restart its
-	// climb after losing a trail to a concurrent delete.
-	MaxRestarts int
 	// Redirects enables the paper's improved concurrent query handling
 	// (§3: "We can have improved algorithm to solve this problem without
 	// ever reaching the incorrect proxy node"): deletes leave short-lived
@@ -33,15 +35,6 @@ type Config struct {
 	// metrics, timed on the simulated clock. Nil disables observability;
 	// the engine's queue gauges follow the same recorder (see obs.go).
 	Obs *obs.Recorder
-}
-
-func (c *Config) fill() {
-	if c.PhiBase <= 0 {
-		c.PhiBase = 4
-	}
-	if c.MaxRestarts <= 0 {
-		c.MaxRestarts = 10000
-	}
 }
 
 type slotKey struct {
@@ -122,7 +115,6 @@ type MOTSim struct {
 // NewMOT builds a concurrent simulator over ov, which must produce
 // single-station detection-path levels (hier.Config.UseParentSets = false).
 func NewMOT(ov overlay.Overlay, eng *Engine, cfg Config) (*MOTSim, error) {
-	cfg.fill()
 	p := ov.DPath(ov.Root().Host)
 	for l, sts := range p {
 		if len(sts) != 1 {
@@ -323,7 +315,7 @@ func (s *MOTSim) enterLevel(op *moveOp, k int) {
 		s.send(op, st.Host, func() { s.arriveLevel(op, k) })
 	}
 	if s.cfg.PeriodSync {
-		phi := math.Pow(2, float64(k)) * s.cfg.PhiBase
+		phi := math.Pow(2, float64(k)) * phiBase
 		boundary := math.Ceil(s.eng.Now()/phi) * phi
 		if boundary > s.eng.Now() {
 			op.span.Event(obs.EvWait, k, int(op.pos), boundary-s.eng.Now(), s.eng.Now())
@@ -625,8 +617,8 @@ func (s *MOTSim) chase(q *queryOp, proxy graph.NodeID) {
 func (s *MOTSim) restart(q *queryOp) {
 	q.restarts++
 	q.span.Event(obs.EvRestart, -1, int(q.pos), 0, s.eng.Now())
-	if q.restarts > s.cfg.MaxRestarts {
-		s.fail("sim: query for %d from %d exceeded %d restarts", q.o, q.origin, s.cfg.MaxRestarts)
+	if q.restarts > maxRestarts {
+		s.fail("sim: query for %d from %d exceeded %d restarts", q.o, q.origin, maxRestarts)
 		return
 	}
 	// Tombstones live at the station where the trail broke; consume the

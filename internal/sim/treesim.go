@@ -56,7 +56,6 @@ func NewTree(t *treedir.Tree, m *graph.Metric, eng *Engine, cfg Config, tc treed
 	if t.Root() < 0 {
 		return nil, fmt.Errorf("sim: tree not finalized")
 	}
-	cfg.fill()
 	dl := make([]map[core.ObjectID]treeEntry, t.Len())
 	fwd := make([]map[core.ObjectID]graph.NodeID, t.Len())
 	for i := range dl {
@@ -354,8 +353,8 @@ func (s *TreeSim) chase(q *queryOp, proxy graph.NodeID) {
 
 func (s *TreeSim) restart(q *queryOp) {
 	q.restarts++
-	if q.restarts > s.cfg.MaxRestarts {
-		s.fail("sim: tree query for %d exceeded %d restarts", q.o, s.cfg.MaxRestarts)
+	if q.restarts > maxRestarts {
+		s.fail("sim: tree query for %d exceeded %d restarts", q.o, maxRestarts)
 		return
 	}
 	s.startQuery(q, q.pos)

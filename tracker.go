@@ -15,7 +15,8 @@ import (
 
 // Options configures a Tracker.
 type Options struct {
-	// Seed drives the randomized overlay construction (Luby's MIS);
+	// Seed drives the overlay construction (the greedy MIS priorities of
+	// the churn-repairable HS hierarchy, Luby's MIS under LoadBalance);
 	// equal seeds over equal graphs give identical hierarchies.
 	Seed int64
 	// GeneralOverlay builds the §6 sparse-partition hierarchy instead of
@@ -44,20 +45,12 @@ type Options struct {
 	CountLBRouteCost bool
 	// CountReply adds the result-return message to query costs.
 	CountReply bool
-	// IncrementalRepair keeps the HS hierarchy live under churn: FailNode
-	// excludes the sensor and re-elects the surrounding overlay locally
-	// (hier.Repair) instead of waiting for RecoverNode, then re-stamps
-	// only the trails the event broke, so tracking stays available while
-	// nodes are down. Past ChurnThreshold the coarse §7 fallback still
-	// rebuilds from scratch. Requires the HS overlay: it conflicts with
-	// GeneralOverlay and with LoadBalance placement.
-	IncrementalRepair bool
 	// Chaos enables deterministic fault injection. On a Distributed
 	// tracker it installs drop/delay faults on every message (crashes are
 	// driven explicitly via Crash/Recover); on the sequential Tracker,
 	// whose operations are instantaneous, it configures the recovery
-	// policy (ChurnThreshold) for FailNode/RecoverNode. Nil disables
-	// faults entirely.
+	// policy (ChurnThreshold, RebuildEachEvent) for FailNode/RecoverNode.
+	// Nil disables faults entirely.
 	Chaos *ChaosConfig
 	// Obs receives a span per operation plus per-node and per-level
 	// metrics (see internal/obs). Nil — the default — disables
@@ -76,19 +69,13 @@ type Tracker struct {
 	ov  overlay.Overlay
 	dir *core.Directory
 
-	// eng is the §7 incremental churn engine under
-	// Options.IncrementalRepair (it owns ov and dir then); nil otherwise.
+	// eng is the §7 churn engine (it owns ov and dir); nil on
+	// GeneralOverlay and LoadBalance trackers, whose overlays cannot be
+	// repaired in place.
 	eng *dynamics.Engine
 
-	// opt and cfg are retained for the §7 rebuild fallback (dynamics.go).
-	opt Options
-	cfg core.Config
-
-	// chaosMu guards the fault-recovery bookkeeping in dynamics.go.
+	// chaosMu serializes churn events (dynamics.go).
 	chaosMu sync.Mutex
-	failed  map[NodeID]bool
-	damaged map[ObjectID]bool
-	churn   int
 }
 
 // NewTracker builds the overlay over g (which must be connected) and an
@@ -115,7 +102,6 @@ func hierConfig(opt Options) hier.Config {
 		Seed:                opt.Seed,
 		UseParentSets:       opt.UseParentSets,
 		SpecialParentOffset: opt.SpecialParentOffset,
-		Incremental:         opt.IncrementalRepair,
 	}
 }
 
@@ -130,13 +116,7 @@ func NewTrackerWithOracle(g *Graph, dm graph.DistanceOracle, opt Options) (*Trac
 		CountReply:             opt.CountReply,
 		Obs:                    opt.Obs,
 	}
-	if opt.IncrementalRepair {
-		if opt.GeneralOverlay {
-			return nil, fmt.Errorf("mot: IncrementalRepair requires the HS overlay; it conflicts with GeneralOverlay")
-		}
-		if opt.LoadBalance {
-			return nil, fmt.Errorf("mot: IncrementalRepair does not compose with LoadBalance placement")
-		}
+	if !opt.GeneralOverlay && !opt.LoadBalance {
 		ecfg := dynamics.Config{Hier: hierConfig(opt), Core: cfg}
 		if opt.Chaos != nil {
 			ecfg.ChurnThreshold = opt.Chaos.ChurnThreshold
@@ -146,7 +126,7 @@ func NewTrackerWithOracle(g *Graph, dm graph.DistanceOracle, opt Options) (*Trac
 		if err != nil {
 			return nil, fmt.Errorf("mot: building HS overlay: %w", err)
 		}
-		return &Tracker{g: g, dm: dm, ov: eng.Overlay(), eng: eng, dir: eng.Directory(), opt: opt, cfg: cfg}, nil
+		return &Tracker{g: g, dm: dm, ov: eng.Overlay(), dir: eng.Directory(), eng: eng}, nil
 	}
 	var ov overlay.Overlay
 	if opt.GeneralOverlay {
@@ -156,7 +136,7 @@ func NewTrackerWithOracle(g *Graph, dm graph.DistanceOracle, opt Options) (*Trac
 		}
 		ov = hs
 	} else {
-		hs, err := hier.BuildExcluding(g, dm, hierConfig(opt), nil)
+		hs, err := hier.Build(g, dm, hierConfig(opt))
 		if err != nil {
 			return nil, fmt.Errorf("mot: building HS overlay: %w", err)
 		}
@@ -165,7 +145,7 @@ func NewTrackerWithOracle(g *Graph, dm graph.DistanceOracle, opt Options) (*Trac
 	if opt.LoadBalance {
 		cfg.Placement = lb.New(ov)
 	}
-	return &Tracker{g: g, dm: dm, ov: ov, dir: core.New(ov, cfg), opt: opt, cfg: cfg}, nil
+	return &Tracker{g: g, dm: dm, ov: ov, dir: core.New(ov, cfg)}, nil
 }
 
 // Graph returns the underlying network.
