@@ -1,8 +1,9 @@
 # Tier-1 verification for the MOT reproduction.
 #
 #   make check   — gofmt, vet, build, full test suite, -race smoke tier,
-#                  the chaos fault-injection tier, then the motlint
-#                  determinism/concurrency analyzer suite
+#                  the chaos fault-injection tier, the churn and scale
+#                  tiers, the benches, the motbench self-test, then the
+#                  motlint determinism/concurrency analyzer suite
 #   make lint    — just motlint (internal/lint rules over every package);
 #                  also writes motlint.sarif so CI can annotate PRs
 #   make race    — just the -race smoke tier (parallel sweep harness,
@@ -51,6 +52,11 @@
 #                  growth on a pinned benchmark fails; benchdiff.md
 #                  holds the delta table CI uploads
 #
+#   make motbench — vet and self-test the benchmark (cmd/motbench is its
+#                  own module, so the root go build/vet/test never
+#                  compile it); part of make check so an API change in
+#                  core or runtime cannot break the benchmark unnoticed
+#
 #   make loc     — the size number ROADMAP tracks: non-test Go lines
 #                  of the tracked files, excluding cmd/motbench/ and
 #                  testdata/
@@ -74,9 +80,9 @@ CHURN_RUN  = 'TestChurn|TestGoldenChurn|TestStaleObjects|TestHierRepair|TestExcl
 # above; raise the floor as coverage grows, never lower it to pass).
 COVER_MIN = 79
 
-.PHONY: check fmt vet build test race chaos churn scale soak lint cover bench bench-json bench-gate loc
+.PHONY: check fmt vet build test race chaos churn scale soak lint cover bench bench-json bench-gate motbench loc
 
-check: fmt vet build test race chaos churn scale bench lint
+check: fmt vet build test race chaos churn scale bench motbench lint
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -129,6 +135,9 @@ bench-json:
 bench-gate:
 	$(GO) run ./cmd/motsim -benchjson BENCH_current.json
 	$(GO) run ./cmd/benchdiff -baseline BENCH_10.json -current BENCH_current.json -md benchdiff.md
+
+motbench:
+	cd cmd/motbench && $(GO) vet ./... && $(GO) test ./...
 
 loc:
 	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^cmd/motbench/' -e 'testdata/' | xargs cat | wc -l

@@ -11,8 +11,8 @@ import (
 
 // Distributed is a live, goroutine-per-node realization of MOT: every
 // sensor runs as its own goroutine and operations travel as messages
-// between them. It trades the sequential Tracker's detailed metering for
-// actual distributed execution; the examples use it to model deployments.
+// between them, running the same Algorithm 1 handler as Tracker. It trades
+// Tracker's detailed metering for actual distributed execution.
 type Distributed struct {
 	tr *runtime.Tracker
 }
@@ -50,8 +50,8 @@ func (d *Distributed) ServeDebug(addr string) (*runtime.DebugServer, error) {
 	return d.tr.ServeDebug(addr)
 }
 
-// LoadByNode returns each sensor's stored entry count. Call only at
-// quiescence (no operations in flight).
+// LoadByNode returns each sensor's stored DL and SDL entry count (a
+// consistent snapshot only with no operation in flight).
 func (d *Distributed) LoadByNode() []int { return d.tr.LoadByNode() }
 
 // ObserveLoad snapshots LoadByNode into the recorder (Options.Obs) as the
@@ -74,12 +74,12 @@ func (d *Distributed) SimulatedDelay() float64 { return d.tr.SimulatedDelay() }
 func (d *Distributed) FaultTrace() *FaultTrace { return d.tr.FaultTrace() }
 
 // Publish introduces object o at sensor at; it blocks until the detection
-// trail reaches the root.
+// trail reaches the root. A failed publish has no effect.
 func (d *Distributed) Publish(o ObjectID, at NodeID) error { return d.tr.Publish(o, at) }
 
 // Move reports that o moved to sensor to; it blocks until the maintenance
-// operation completes. Same-object moves serialize; different objects
-// proceed concurrently.
+// operation completes. A failed move has no effect. Same-object moves
+// serialize; different objects proceed concurrently.
 func (d *Distributed) Move(o ObjectID, to NodeID) error { return d.tr.Move(o, to) }
 
 // Query locates o from sensor from, returning the proxy and the search

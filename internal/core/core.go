@@ -4,9 +4,11 @@
 // (insert + delete), and query operations over them, with communication-cost
 // metering against the optimal costs.
 //
-// The engine in this package executes operations one by one (the paper's
-// "one by one case", §4.1.1); the discrete-event simulator in internal/sim
-// drives the same state machine for the concurrent case.
+// Algorithm 1 lives here once, as the per-station Handler (handler.go).
+// Directory drives it one operation at a time (the paper's "one by one
+// case", §4.1.1); the discrete-event simulator in internal/sim drives the
+// same handler for the concurrent case, and the goroutine runtime in
+// internal/runtime drives it across node inboxes.
 package core
 
 import (
@@ -68,52 +70,14 @@ type Config struct {
 	ExactSampleSeed int64
 }
 
-// slotKey identifies a directory slot: one station of the overlay.
-type slotKey struct {
-	level int
-	key   int64
-}
-
-// dlEntry is one object's record in a station's detection list.
-type dlEntry struct {
-	// child is the next station downward on the object's trail; hasChild
-	// is false at the bottom-level proxy slot.
-	child    overlay.Station
-	hasChild bool
-	// sp is the special parent registered for this entry; spOK is false
-	// near the root where special parents are undefined.
-	sp   overlay.Station
-	spOK bool
-	// version is the move sequence number that stamped this entry.
-	version uint64
-}
-
-// sdlEntry is one object's record in a station's special detection list: a
-// downward shortcut to the special child that registered it.
-type sdlEntry struct {
-	child   overlay.Station
-	version uint64
-}
-
-// slot is the mutable directory state of one station.
-type slot struct {
-	station overlay.Station
-	dl      map[ObjectID]dlEntry
-	sdl     map[ObjectID]sdlEntry
-}
-
 // Directory is the MOT tracking structure over an overlay.
 type Directory struct {
 	mu  sync.Mutex
-	ov  overlay.Overlay
-	m   graph.DistanceOracle
 	cfg Config
 
-	slots map[slotKey]*slot
+	h     *Handler                  // slot store, per-station rules, meter
 	loc   map[ObjectID]graph.NodeID // ground-truth proxy of each object
-	ver   map[ObjectID]uint64       // move sequence numbers
-
-	meter CostMeter
+	moves uint64                    // each move stamps the next version
 
 	// Sampled exact re-metering state (see sample.go): the row cache, the
 	// move/query operation counter the sampling hash keys on, and the
@@ -134,43 +98,37 @@ type Directory struct {
 // New creates an empty directory over the overlay. Objects must be
 // introduced with Publish before they can be moved or queried.
 func New(ov overlay.Overlay, cfg Config) *Directory {
-	if cfg.Placement == nil {
-		cfg.Placement = HostPlacement{}
-	}
 	d := &Directory{
-		ov:    ov,
-		m:     ov.Metric(),
-		cfg:   cfg,
-		slots: make(map[slotKey]*slot),
-		loc:   make(map[ObjectID]graph.NodeID),
-		ver:   make(map[ObjectID]uint64),
+		cfg: cfg,
+		h:   NewHandler(ov, cfg),
+		loc: make(map[ObjectID]graph.NodeID),
 	}
 	if cfg.ExactSampleEvery > 0 {
-		d.sampler = newExactSampler(d.m.Graph())
+		d.sampler = newExactSampler(d.h.m.Graph())
 	}
 	return d
 }
 
-// Overlay returns the overlay the directory runs on (ov is mu-guarded
-// since SwapOverlay can replace it after a churn rebuild).
+// Overlay returns the overlay the directory runs on (mu-guarded since
+// SwapOverlay can replace it after a churn rebuild).
 func (d *Directory) Overlay() overlay.Overlay {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.ov
+	return d.h.ov
 }
 
 // Meter returns a snapshot of the accumulated cost counters.
 func (d *Directory) Meter() CostMeter {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.meter
+	return d.h.Meter
 }
 
 // ResetMeter zeroes the cost counters (e.g. after warmup).
 func (d *Directory) ResetMeter() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.meter = CostMeter{}
+	d.h.Meter = CostMeter{}
 }
 
 // Location returns the current proxy of o.
@@ -193,32 +151,8 @@ func (d *Directory) Objects() []ObjectID {
 	return out
 }
 
-func (d *Directory) slot(st overlay.Station) *slot {
-	k := slotKey{level: st.Level, key: st.Key}
-	s, ok := d.slots[k]
-	if !ok {
-		//motlint:ignore hotalloc lazy one-time materialization of a station's slot
-		s = &slot{station: st, dl: make(map[ObjectID]dlEntry), sdl: make(map[ObjectID]sdlEntry)}
-		d.slots[k] = s
-	}
-	return s
-}
-
-func (d *Directory) peek(st overlay.Station) (*slot, bool) {
-	s, ok := d.slots[slotKey{level: st.Level, key: st.Key}]
-	return s, ok
-}
-
-func (d *Directory) holds(st overlay.Station, o ObjectID) bool {
-	if s, ok := d.peek(st); ok {
-		_, has := s.dl[o]
-		return has
-	}
-	return false
-}
-
 func (d *Directory) String() string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return fmt.Sprintf("mot.Directory{objects=%d slots=%d}", len(d.loc), len(d.slots))
+	return fmt.Sprintf("mot.Directory{objects=%d slots=%d}", len(d.loc), len(d.h.slots))
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/hier"
+	"repro/internal/overlay"
 )
 
 // buildDir constructs a directory over a grid HS for tests.
@@ -413,5 +414,45 @@ func BenchmarkQueryGrid16(b *testing.B) {
 		if _, _, err := d.Query(graph.NodeID(i%g.N()), 1); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// unitPlacement spreads entries onto the station host at a unit routing
+// surcharge: enough to exercise the §5 surcharge path without lb.
+type unitPlacement struct{}
+
+func (unitPlacement) Place(st overlay.Station, _ ObjectID) graph.NodeID { return st.Host }
+func (unitPlacement) RouteCost(overlay.Station, ObjectID) float64       { return 1 }
+
+// Once a station's detection list reaches lbThreshold it distributes its
+// entries: every access pays the routing surcharge into LBRouteCost and,
+// with CountLBRouteCost, into the operation's cost.
+func TestLoadBalanceSurchargeCounted(t *testing.T) {
+	d, g := buildDir(t, 5, 5, hier.Config{Seed: 1}, Config{Placement: unitPlacement{}, CountLBRouteCost: true})
+	for o := 0; o < 2*lbThreshold; o++ {
+		if err := d.Publish(ObjectID(o), graph.NodeID(o)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := d.Meter()
+	if m.LBRouteCost == 0 {
+		t.Fatal("no routing surcharge once the root's list was flooded")
+	}
+	_, cost, err := d.Query(graph.NodeID(g.N()-1), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	free, _ := buildDir(t, 5, 5, hier.Config{Seed: 1}, Config{})
+	for o := 0; o < 2*lbThreshold; o++ {
+		if err := free.Publish(ObjectID(o), graph.NodeID(o)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, base, _ := free.Query(graph.NodeID(g.N()-1), 0)
+	if cost <= base || d.Meter().LBRouteCost <= m.LBRouteCost {
+		t.Fatalf("query cost %v vs %v without placement: surcharge not counted", cost, base)
+	}
+	if err := d.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -33,8 +33,8 @@ func TestInvariantCheckerDetectsCorruption(t *testing.T) {
 
 	t.Run("root entry removed", func(t *testing.T) {
 		d := setup()
-		root := d.ov.Root()
-		s, _ := d.peek(root)
+		root := d.h.ov.Root()
+		s, _ := d.h.peek(root)
 		delete(s.dl, 1)
 		if err := d.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "root") {
 			t.Fatalf("missed root corruption: %v", err)
@@ -44,10 +44,10 @@ func TestInvariantCheckerDetectsCorruption(t *testing.T) {
 	t.Run("mid-trail entry removed", func(t *testing.T) {
 		d := setup()
 		// Remove the entry one level below the root.
-		root := d.ov.Root()
-		s, _ := d.peek(root)
+		root := d.h.ov.Root()
+		s, _ := d.h.peek(root)
 		child := s.dl[1].child
-		cs, _ := d.peek(child)
+		cs, _ := d.h.peek(child)
 		delete(cs.dl, 1)
 		if err := d.CheckInvariants(); err == nil {
 			t.Fatal("missed broken trail")
@@ -58,7 +58,7 @@ func TestInvariantCheckerDetectsCorruption(t *testing.T) {
 		d := setup()
 		// Stamp the object at a station that is not on its trail.
 		orphan := overlay.Station{Level: 1, Key: 999, Host: 5}
-		d.slot(orphan).dl[1] = dlEntry{hasChild: false}
+		d.h.slot(orphan).dl[1] = dlEntry{hasChild: false}
 		if err := d.CheckInvariants(); err == nil {
 			t.Fatal("missed orphan entry")
 		}
@@ -67,8 +67,8 @@ func TestInvariantCheckerDetectsCorruption(t *testing.T) {
 	t.Run("stale SDL shortcut", func(t *testing.T) {
 		d := setup()
 		ghost := overlay.Station{Level: 1, Key: 777, Host: 3}
-		sp := d.ov.Root()
-		d.slot(sp).sdl[1] = sdlEntry{child: ghost}
+		sp := d.h.ov.Root()
+		d.h.slot(sp).sdl[1] = sdlEntry{child: ghost}
 		if err := d.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "SDL") {
 			t.Fatalf("missed stale SDL: %v", err)
 		}
@@ -84,11 +84,11 @@ func TestInvariantCheckerDetectsCorruption(t *testing.T) {
 
 	t.Run("trail level skip", func(t *testing.T) {
 		d := setup()
-		root := d.ov.Root()
-		s, _ := d.peek(root)
+		root := d.h.ov.Root()
+		s, _ := d.h.peek(root)
 		e := s.dl[1]
 		// Point the root two levels down directly.
-		down, _ := d.peek(e.child)
+		down, _ := d.h.peek(e.child)
 		e.child = down.dl[1].child
 		s.dl[1] = e
 		if err := d.CheckInvariants(); err == nil {
@@ -105,10 +105,10 @@ func TestQueryReportsBrokenTrail(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Sever the trail below the root.
-	root := d.ov.Root()
-	s, _ := d.peek(root)
+	root := d.h.ov.Root()
+	s, _ := d.h.peek(root)
 	child := s.dl[1].child
-	cs, _ := d.peek(child)
+	cs, _ := d.h.peek(child)
 	delete(cs.dl, 1)
 	if _, _, err := d.Query(30, 1); err == nil {
 		t.Fatal("query answered over a severed trail")
@@ -123,7 +123,7 @@ func TestMoveReportsMissingTrail(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Erase every trace of the object.
-	for _, s := range d.slots {
+	for _, s := range d.h.slots {
 		delete(s.dl, 1)
 		delete(s.sdl, 1)
 	}

@@ -2,24 +2,30 @@ package core
 
 import (
 	"fmt"
+
+	"repro/internal/graph"
 )
 
-// CheckInvariants validates the directory's global consistency; it is used
-// by tests and by the simulators after quiescence. For every published
-// object it checks that
-//
-//   - the root station holds the object,
-//   - following child groups downward from the root reaches exactly one
-//     bottom-level station, and that station is the object's proxy,
-//   - every station holding the object is reachable from the root through
-//     the group/child-group structure (no orphaned detection-list entries),
-//   - every SDL shortcut points at a station that still holds the object.
+// CheckInvariants runs Handler.CheckInvariants over the directory.
 func (d *Directory) CheckInvariants() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for o, proxy := range d.loc {
-		root := d.ov.Root()
-		if !d.holds(root, o) {
+	return d.h.CheckInvariants(d.loc)
+}
+
+// CheckInvariants validates the store against the ground truth loc (each
+// published object's proxy), at quiescence only. For every object:
+//
+//   - the root station holds the object,
+//   - following child pointers downward from the root reaches exactly one
+//     bottom-level station, and that station is the object's proxy,
+//   - every station holding the object is on that trail (no orphaned
+//     detection-list entries),
+//   - every SDL shortcut points at a station that still holds the object.
+func (h *Handler) CheckInvariants(loc map[ObjectID]graph.NodeID) error {
+	root := h.ov.Root()
+	for o, proxy := range loc {
+		if _, ok := h.entry(root, o); !ok {
 			return fmt.Errorf("core: invariant: root does not hold object %d", o)
 		}
 		reach := map[slotKey]bool{}
@@ -30,11 +36,7 @@ func (d *Directory) CheckInvariants() error {
 				return fmt.Errorf("core: invariant: trail for object %d cycles at %v", o, st)
 			}
 			reach[k] = true
-			s, ok := d.peek(st)
-			if !ok {
-				return fmt.Errorf("core: invariant: trail station %v has no slot for object %d", st, o)
-			}
-			e, has := s.dl[o]
+			e, has := h.entry(st, o)
 			if !has {
 				return fmt.Errorf("core: invariant: trail station %v lost object %d", st, o)
 			}
@@ -53,16 +55,16 @@ func (d *Directory) CheckInvariants() error {
 			st = e.child
 		}
 		// No orphans: every holder must be on the trail.
-		for k, s := range d.slots {
+		for k, s := range h.slots {
 			if _, has := s.dl[o]; has && !reach[k] {
 				return fmt.Errorf("core: invariant: orphaned entry for object %d at %v", o, s.station)
 			}
 		}
 	}
 	// SDL shortcuts point at live holders.
-	for _, s := range d.slots {
+	for _, s := range h.slots {
 		for o, se := range s.sdl {
-			if !d.holds(se.child, o) {
+			if _, ok := h.entry(se.child, o); !ok {
 				return fmt.Errorf("core: invariant: SDL at %v points to %v which lost object %d", s.station, se.child, o)
 			}
 		}
@@ -77,13 +79,18 @@ func (d *Directory) CheckInvariants() error {
 func (d *Directory) LoadByNode(n int) []int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return d.h.LoadByNode(n)
+}
+
+// LoadByNode is Directory.LoadByNode over the store.
+func (h *Handler) LoadByNode(n int) []int {
 	counts := make([]int, n)
-	for _, s := range d.slots {
-		spread := d.distributed(s.station)
+	for _, s := range h.slots {
+		spread := h.distributed(s.station)
 		bump := func(o ObjectID) {
 			host := s.station.Host
 			if spread {
-				host = d.cfg.Placement.Place(s.station, o)
+				host = h.cfg.Placement.Place(s.station, o)
 			}
 			if int(host) >= 0 && int(host) < n {
 				counts[host]++
@@ -103,14 +110,14 @@ func (d *Directory) LoadByNode(n int) []int {
 func (d *Directory) SlotCount() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.slots)
+	return len(d.h.slots)
 }
 
 // EntryCount returns the total number of DL and SDL entries.
 func (d *Directory) EntryCount() (dl, sdl int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, s := range d.slots {
+	for _, s := range d.h.slots {
 		dl += len(s.dl)
 		sdl += len(s.sdl)
 	}

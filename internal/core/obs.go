@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/overlay"
 )
@@ -34,16 +33,6 @@ func (d *Directory) obsFinish(cost float64) {
 	d.obsCur = obs.Span{}
 }
 
-// obsEvent annotates the in-flight span. Inert between operations (the
-// zero span swallows events), so helpers shared by several operations can
-// call it unconditionally.
-func (d *Directory) obsEvent(kind string, level int, host graph.NodeID, cost float64) {
-	if d.cfg.Obs == nil {
-		return
-	}
-	d.obsCur.Event(kind, level, int(host), cost, d.obsNow)
-}
-
 // obsVisit accounts one message arrival at station st: the per-node
 // traffic series and the per-level hop count.
 func (d *Directory) obsVisit(st overlay.Station) {
@@ -58,13 +47,20 @@ func (d *Directory) obsVisit(st overlay.Station) {
 // aware DL+SDL entry counts over n physical nodes) into the recorder's
 // node.entries series, replacing any previous snapshot.
 func (d *Directory) ObserveLoad(n int) {
-	if d.cfg.Obs == nil {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.h.ObserveLoad(d.cfg.Obs, n)
+}
+
+// ObserveLoad is Directory.ObserveLoad over the store, into r.
+func (h *Handler) ObserveLoad(r *obs.Recorder, n int) {
+	if r == nil {
 		return
 	}
-	load := d.LoadByNode(n)
+	load := h.LoadByNode(n)
 	vals := make([]float64, len(load))
 	for i, v := range load {
 		vals[i] = float64(v)
 	}
-	d.cfg.Obs.SetSeries(obs.SeriesNodeEntries, vals)
+	r.SetSeries(obs.SeriesNodeEntries, vals)
 }

@@ -19,9 +19,9 @@ import (
 
 // sortedSlotKeys returns the materialized slot keys in (level, key) order,
 // for deterministic sweeps over the slot map.
-func (d *Directory) sortedSlotKeys() []slotKey {
-	keys := make([]slotKey, 0, len(d.slots))
-	for k := range d.slots {
+func (h *Handler) sortedSlotKeys() []slotKey {
+	keys := make([]slotKey, 0, len(h.slots))
+	for k := range h.slots {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool {
@@ -31,15 +31,6 @@ func (d *Directory) sortedSlotKeys() []slotKey {
 		return keys[i].key < keys[j].key
 	})
 	return keys
-}
-
-// wipe erases every DL and SDL record of o. Deletions commute, so the sweep
-// order is irrelevant; callers re-stamp afterwards if the object lives on.
-func (d *Directory) wipe(o ObjectID) {
-	for _, s := range d.slots {
-		delete(s.dl, o)
-		delete(s.sdl, o)
-	}
 }
 
 // Unpublish removes object o from the directory: its trail is erased from
@@ -53,36 +44,29 @@ func (d *Directory) Unpublish(o ObjectID) error {
 		return fmt.Errorf("core: object %d not published", o)
 	}
 	d.obsStart(obs.OpRecovery, o)
-	cost := 0.0
-	st := d.ov.Root()
+	m := Msg{Obj: o, Span: d.obsCur, Now: d.obsNow}
+	st := d.h.ov.Root()
 	pos := st.Host
 	for {
-		cost += d.m.Dist(pos, st.Host)
+		m.Cost += d.h.m.Dist(pos, st.Host)
 		pos = st.Host
 		d.obsVisit(st)
-		s, ok := d.peek(st)
-		if !ok {
-			break
-		}
-		e, has := s.dl[o]
+		e, has := d.h.entry(st, o)
 		if !has {
 			break
 		}
-		d.removeEntry(st, o)
+		d.h.remove(&m, st, e)
 		if !e.hasChild {
 			break
 		}
 		st = e.child
 	}
-	// The trailing defensive wipe iterates the slot map, so it must stay
-	// silent — one aggregate event marks it instead.
-	d.obsEvent(obs.EvWipe, -1, pos, 0)
-	d.wipe(o) // defensive: a damaged trail may have left detached entries
+	m.Owner = pos
+	d.h.Wipe(&m) // defensive: a damaged trail may have left detached entries
 	delete(d.loc, o)
-	delete(d.ver, o)
-	d.meter.RecoveryCost += cost
-	d.meter.RecoveryOps++
-	d.obsFinish(cost)
+	d.h.Meter.RecoveryCost += m.Cost
+	d.h.Meter.RecoveryOps++
+	d.obsFinish(m.Cost)
 	return nil
 }
 
@@ -95,8 +79,8 @@ func (d *Directory) DropHost(n graph.NodeID) []ObjectID {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	damaged := map[ObjectID]bool{}
-	for _, k := range d.sortedSlotKeys() {
-		s := d.slots[k]
+	for _, k := range d.h.sortedSlotKeys() {
+		s := d.h.slots[k]
 		if s.station.Host == n {
 			for o := range s.dl {
 				damaged[o] = true
@@ -130,7 +114,7 @@ func (d *Directory) DropHost(n graph.NodeID) []ObjectID {
 
 // Repair re-establishes o's trail after crash damage: all surviving
 // fragments are wiped and the full home chain of the current ground-truth
-// proxy is re-stamped at the object's current version (the fine-grained §7
+// proxy is re-stamped at the latest move's version (the fine-grained §7
 // path — one object's chain, not a directory rebuild). The walk is charged
 // to RecoveryCost.
 func (d *Directory) Repair(o ObjectID) error {
@@ -141,14 +125,12 @@ func (d *Directory) Repair(o ObjectID) error {
 		return fmt.Errorf("core: object %d not published", o)
 	}
 	d.obsStart(obs.OpRecovery, o)
-	// wipe iterates the slot map; mark it with one aggregate event rather
-	// than per-slot events whose order would track map iteration.
-	d.obsEvent(obs.EvWipe, -1, proxy, 0)
-	d.wipe(o)
-	cost := d.stampWalk(o, proxy, d.ver[o])
-	d.meter.RecoveryCost += cost
-	d.meter.RecoveryOps++
-	d.obsFinish(cost)
+	m := d.msg(PublishMsg, o, d.moves, proxy)
+	d.h.Wipe(&m)
+	d.walk(&m, Forward)
+	d.h.Meter.RecoveryCost += m.Cost
+	d.h.Meter.RecoveryOps++
+	d.obsFinish(m.Cost)
 	return nil
 }
 
@@ -161,17 +143,12 @@ func (d *Directory) Repair(o ObjectID) error {
 func (d *Directory) Restore(o ObjectID, at graph.NodeID) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if cur, ok := d.loc[o]; ok {
-		return fmt.Errorf("core: object %d already published at node %d", o, cur)
+	cost, err := d.introduce(obs.OpRecovery, o, at)
+	if err == nil {
+		d.h.Meter.RecoveryCost += cost
+		d.h.Meter.RecoveryOps++
 	}
-	d.obsStart(obs.OpRecovery, o)
-	cost := d.stampWalk(o, at, 0)
-	d.loc[o] = at
-	d.ver[o] = 0
-	d.meter.RecoveryCost += cost
-	d.meter.RecoveryOps++
-	d.obsFinish(cost)
-	return nil
+	return err
 }
 
 // StaleObjects returns the sorted IDs of published objects whose stored
@@ -199,15 +176,15 @@ func (d *Directory) StaleObjects(skip func(graph.NodeID) bool) []ObjectID {
 	}
 	sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
 	out := objs[:0]
-	root := d.ov.Root()
+	root := d.h.ov.Root()
 	// Slots above the current root level can only hold fragments of
 	// trails stamped when the hierarchy was taller: after a height
 	// shrink no walk — queries never climb past the root — reaches
 	// them, so their objects must be re-stamped even when the walk
 	// below the new root succeeds, or the fragments leak as orphans.
 	var high []*slot
-	for _, k := range d.sortedSlotKeys() {
-		if s := d.slots[k]; k.level > root.Level && (len(s.dl) > 0 || len(s.sdl) > 0) {
+	for _, k := range d.h.sortedSlotKeys() {
+		if s := d.h.slots[k]; k.level > root.Level && (len(s.dl) > 0 || len(s.sdl) > 0) {
 			high = append(high, s)
 		}
 	}
@@ -237,11 +214,7 @@ func holdsAbove(high []*slot, o ObjectID) bool {
 func (d *Directory) trailIntact(o ObjectID, proxy graph.NodeID, root overlay.Station) bool {
 	st := root
 	for {
-		s, ok := d.peek(st)
-		if !ok {
-			return false
-		}
-		e, has := s.dl[o]
+		e, has := d.h.entry(st, o)
 		if !has {
 			return false
 		}
@@ -264,8 +237,7 @@ func (d *Directory) trailIntact(o ObjectID, proxy graph.NodeID, root overlay.Sta
 func (d *Directory) SwapOverlay(ov overlay.Overlay) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.ov = ov
-	d.m = ov.Metric()
+	d.h.ov, d.h.m = ov, ov.Metric()
 }
 
 // AbsorbMeter folds a previous directory's accumulated costs into this one,
@@ -274,5 +246,5 @@ func (d *Directory) SwapOverlay(ov overlay.Overlay) {
 func (d *Directory) AbsorbMeter(m CostMeter) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.meter.Add(m)
+	d.h.Meter.Add(m)
 }

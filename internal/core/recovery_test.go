@@ -70,7 +70,7 @@ func TestChaosRecoveryUnpublishErasesTrail(t *testing.T) {
 func TestChaosRecoveryDropHostThenRepair(t *testing.T) {
 	d, g := buildDir(t, 7, 7, hier.Config{Seed: 2, SpecialParentOffset: 2}, Config{})
 	locs := populate(t, d, g, 4, 9)
-	root := d.ov.Root().Host
+	root := d.h.ov.Root().Host
 	damaged := d.DropHost(root)
 	// The root station tops every home chain, so every object is damaged,
 	// and the list is sorted.

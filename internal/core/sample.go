@@ -68,7 +68,7 @@ func (d *Directory) sampleBegin() bool {
 // dist is the metered distance: the oracle estimate, shadowed by an exact
 // re-measurement while a sampled operation is in flight.
 func (d *Directory) dist(u, v graph.NodeID) float64 {
-	est := d.m.Dist(u, v)
+	est := d.h.m.Dist(u, v)
 	if d.sampActive {
 		d.sampEst += est
 		//motlint:ignore hotalloc exact re-measurement runs on 1/ExactSampleEvery operations
@@ -81,21 +81,21 @@ func (d *Directory) dist(u, v graph.NodeID) float64 {
 // terms plus the estimated and exact optimal (old-proxy to new-proxy).
 func (d *Directory) sampleEndMaint(from, to graph.NodeID, optEst float64) {
 	d.sampActive = false
-	d.meter.SampledMaintOps++
-	d.meter.SampledMaintCostEst += d.sampEst
-	d.meter.SampledMaintCostExact += d.sampExact
-	d.meter.SampledMaintOptEst += optEst
+	d.h.Meter.SampledMaintOps++
+	d.h.Meter.SampledMaintCostEst += d.sampEst
+	d.h.Meter.SampledMaintCostExact += d.sampExact
+	d.h.Meter.SampledMaintOptEst += optEst
 	//motlint:ignore hotalloc exact re-measurement runs on 1/ExactSampleEvery operations
-	d.meter.SampledMaintOptExact += d.sampler.dist(from, to)
+	d.h.Meter.SampledMaintOptExact += d.sampler.dist(from, to)
 }
 
 // sampleEndQuery books a completed sampled query.
 func (d *Directory) sampleEndQuery(from, proxy graph.NodeID, optEst float64) {
 	d.sampActive = false
-	d.meter.SampledQueryOps++
-	d.meter.SampledQueryCostEst += d.sampEst
-	d.meter.SampledQueryCostExact += d.sampExact
-	d.meter.SampledQueryOptEst += optEst
+	d.h.Meter.SampledQueryOps++
+	d.h.Meter.SampledQueryCostEst += d.sampEst
+	d.h.Meter.SampledQueryCostExact += d.sampExact
+	d.h.Meter.SampledQueryOptEst += optEst
 	//motlint:ignore hotalloc exact re-measurement runs on 1/ExactSampleEvery operations
-	d.meter.SampledQueryOptExact += d.sampler.dist(from, proxy)
+	d.h.Meter.SampledQueryOptExact += d.sampler.dist(from, proxy)
 }

@@ -196,34 +196,20 @@ func runChaosSchedule(cfg ChaosConfig, idx int) (ChaosSchedule, error) {
 	}, g.N())
 	tr := motruntime.New(g, hs, motruntime.Options{Chaos: rinj})
 	defer tr.Stop()
-	countFail := func(err error) error {
+	err = replay(tr, w, func(err error) bool {
 		var de *chaos.DeliveryError
 		if errors.As(err, &de) {
 			out.RunFailed++
-			return nil
+			return true
 		}
-		return err
+		return false
+	})
+	if err != nil {
+		return out, err
 	}
-	for o, at := range w.Initial {
-		if err := tr.Publish(core.ObjectID(o), at); err != nil {
-			if err = countFail(err); err != nil {
-				return out, err
-			}
-		}
-	}
-	for _, mv := range w.Moves {
-		if err := tr.Move(mv.Object, mv.To); err != nil {
-			if err = countFail(err); err != nil {
-				return out, err
-			}
-		}
-	}
-	for _, q := range w.Queries {
-		if _, _, err := tr.Query(q.From, q.Object); err != nil {
-			if err = countFail(err); err != nil {
-				return out, err
-			}
-		}
+	// A failed runtime operation is rolled back, so the same contract holds.
+	if err := tr.CheckInvariants(); err != nil {
+		return out, fmt.Errorf("runtime invariants after chaos: %w", err)
 	}
 	out.RunTrace = rinj.Trace().Render()
 	out.RunCost = tr.Cost()

@@ -129,9 +129,10 @@ type ChurnSchedule struct {
 	SteadyOpCost float64
 
 	// RunFailed counts operations the goroutine runtime — which has no
-	// incremental repair; its overlay stays static while sensors crash —
-	// lost to *chaos.DeliveryError under the same schedule. 0 when the
-	// runtime replay is disabled.
+	// incremental overlay repair; its overlay stays static while sensors
+	// crash, and it rolls back each failed operation — lost to
+	// *chaos.DeliveryError under the same schedule. 0 when the runtime
+	// replay is disabled.
 	RunFailed int
 
 	// Live is the runtime replay's wall-clock latency snapshot (nil
@@ -432,12 +433,12 @@ func issueOp(dir *core.Directory, op churnOp) error {
 // replayChurnOnRuntime replays the recorded event stream on the goroutine
 // runtime with explicit crashes. The runtime's overlay is static — it has
 // no incremental repair — so operations whose trails route through downed
-// sensors exhaust their retry budget and fail with *chaos.DeliveryError,
-// and a Move that loses messages mid-trail leaves the object's directory
-// state permanently inconsistent, failing its later operations outright.
-// Every failed operation counts as lost: the total is the measured price
-// of not repairing. The pre-churn publishes run before any crash and must
-// succeed.
+// sensors exhaust their retry budget and fail with *chaos.DeliveryError.
+// A failed move is rolled back (the object stays at its previous proxy,
+// its trail re-stamped there), so the object's later operations succeed
+// again once their route is up. Every failed operation counts as lost:
+// the total is the measured price of not repairing the overlay. The
+// pre-churn publishes run before any crash and must succeed.
 func replayChurnOnRuntime(g *graph.Graph, hs *hier.Hierarchy, locs []graph.NodeID, events []churnOp, lrec *live.Recorder) (int, error) {
 	inj := chaos.NewInjector(chaos.Config{Seed: 1, MaxAttempts: 4}, g.N())
 	tr := motruntime.New(g, hs, motruntime.Options{Chaos: inj, Live: lrec})

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/hier"
 	"repro/internal/lb"
 	"repro/internal/mobility"
@@ -188,7 +189,7 @@ func runObsOne(cfg ObsConfig, name string, seed int64) (*obs.Recorder, *live.Rec
 			dcfg.Placement = lb.New(hs)
 		}
 		d := core.New(hs, dcfg)
-		if err := replayCore(d, w); err != nil {
+		if err := replay(d, w, nil); err != nil {
 			return nil, nil, err
 		}
 		d.ObserveLoad(g.N())
@@ -210,7 +211,7 @@ func runObsOne(cfg ObsConfig, name string, seed int64) (*obs.Recorder, *live.Rec
 		}
 		tr := motruntime.New(g, hs, motruntime.Options{Obs: rec, Live: lrec})
 		defer tr.Stop()
-		if err := replayRuntime(tr, w); err != nil {
+		if err := replay(tr, w, nil); err != nil {
 			return nil, nil, err
 		}
 		tr.ObserveLoad()
@@ -220,42 +221,36 @@ func runObsOne(cfg ObsConfig, name string, seed int64) (*obs.Recorder, *live.Rec
 	return rec, lrec, nil
 }
 
-// replayCore drives the workload through a sequential directory.
-func replayCore(d *core.Directory, w *mobility.Workload) error {
-	for o, at := range w.Initial {
-		if err := d.Publish(core.ObjectID(o), at); err != nil {
-			return err
-		}
-	}
-	for _, mv := range w.Moves {
-		if err := d.Move(mv.Object, mv.To); err != nil {
-			return err
-		}
-	}
-	for _, q := range w.Queries {
-		if _, _, err := d.Query(q.From, q.Object); err != nil {
-			return err
-		}
-	}
-	return nil
+// directory is the operation surface core.Directory and the goroutine
+// runtime share.
+type directory interface {
+	Publish(core.ObjectID, graph.NodeID) error
+	Move(core.ObjectID, graph.NodeID) error
+	Query(graph.NodeID, core.ObjectID) (graph.NodeID, float64, error)
 }
 
-// replayRuntime drives the workload through the goroutine runtime
-// sequentially: each operation completes before the next is issued, so
-// the recorder's cost clock (and with it the trace) is deterministic.
-func replayRuntime(tr *motruntime.Tracker, w *mobility.Workload) error {
+// replay drives the workload through d one operation at a time, so on the
+// runtime the recorder's cost clock (and with it the trace) is
+// deterministic. An error stops the replay unless keep tolerates it.
+func replay(d directory, w *mobility.Workload, keep func(error) bool) error {
+	check := func(err error) error {
+		if err != nil && keep != nil && keep(err) {
+			return nil
+		}
+		return err
+	}
 	for o, at := range w.Initial {
-		if err := tr.Publish(core.ObjectID(o), at); err != nil {
+		if err := check(d.Publish(core.ObjectID(o), at)); err != nil {
 			return err
 		}
 	}
 	for _, mv := range w.Moves {
-		if err := tr.Move(mv.Object, mv.To); err != nil {
+		if err := check(d.Move(mv.Object, mv.To)); err != nil {
 			return err
 		}
 	}
 	for _, q := range w.Queries {
-		if _, _, err := tr.Query(q.From, q.Object); err != nil {
+		if _, _, err := d.Query(q.From, q.Object); check(err) != nil {
 			return err
 		}
 	}

@@ -196,3 +196,25 @@ func (r *Recorder) SpanCount() int {
 	defer r.mu.Unlock()
 	return len(r.spans)
 }
+
+// Arrive accounts one message arrival at a station of the given level on
+// node: the per-level hop count plus a hop event on sp.
+func (r *Recorder) Arrive(sp Span, level, node int, at float64) {
+	if r == nil {
+		return
+	}
+	r.AddAt(SeriesLevelHops, level, 1)
+	sp.Event(EvHop, level, node, 0, at)
+}
+
+// Attempt accounts one transmission attempt toward node (retries included,
+// mirroring the cost meter), with a retry event on sp from the second on.
+func (r *Recorder) Attempt(sp Span, node int, cost float64, attempt int, at float64) {
+	if r == nil {
+		return
+	}
+	r.AddAt(SeriesNodeMsgs, node, 1)
+	if attempt > 1 {
+		sp.Event(EvRetry, -1, node, cost, at)
+	}
+}

@@ -28,6 +28,8 @@ func TestNilRecorderIsInert(t *testing.T) {
 	r.GaugeMax("x", 1)
 	r.Observe("x", 1)
 	r.AddAt("x", 3, 1)
+	r.Arrive(sp, 1, 2, 0)
+	r.Attempt(sp, 2, 1, 2, 0)
 	if r.SpanCount() != 0 {
 		t.Fatal("nil recorder counted spans")
 	}
@@ -72,6 +74,27 @@ func TestSpanRecording(t *testing.T) {
 	}
 	if got.events[0].Kind != EvHop || got.events[0].Node != 4 || got.events[0].Cost != 1.5 {
 		t.Fatalf("hop event = %+v", got.events[0])
+	}
+}
+
+// TestArriveAttempt checks the message hooks the message-driven
+// substrates share: per-level hops and a hop event per arrival, per-node
+// messages per attempt, and a retry event from the second attempt on.
+func TestArriveAttempt(t *testing.T) {
+	r := New("test")
+	sp := r.StartSpan(OpQuery, 1, 1, 0)
+	r.Arrive(sp, 2, 5, 3)
+	r.Attempt(sp, 5, 1.5, 1, 3)
+	r.Attempt(sp, 5, 1.5, 2, 4)
+	if hops := r.SeriesValues(SeriesLevelHops); len(hops) != 3 || hops[2] != 1 {
+		t.Fatalf("level hops = %v", hops)
+	}
+	if msgs := r.SeriesValues(SeriesNodeMsgs); len(msgs) != 6 || msgs[5] != 2 {
+		t.Fatalf("node msgs = %v", msgs)
+	}
+	ev := r.sortedSpans()[0].events
+	if len(ev) != 2 || ev[0].Kind != EvHop || ev[0].Level != 2 || ev[1].Kind != EvRetry || ev[1].Cost != 1.5 || ev[1].At != 4 {
+		t.Fatalf("events = %+v", ev)
 	}
 }
 

@@ -80,6 +80,9 @@ func TestChaosRuntimeTraceReplays(t *testing.T) {
 			Seed: seed, DropRate: 0.3, DelayRate: 0.3, MaxAttempts: 10,
 		})
 		trace, delay, failed := chaosWorkload(t, tr, g)
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
 		if failed != 0 {
 			t.Fatalf("seed %d: %d operations failed despite a 10-attempt budget", seed, failed)
 		}
@@ -143,7 +146,22 @@ func TestChaosRuntimeCrashFailsThenRecovers(t *testing.T) {
 	for n := 0; n < g.N(); n++ {
 		tr.Recover(graph.NodeID(n))
 	}
-	// The failed move left object 1's trail torn; fresh objects must work.
+	// The failed move had no effect: object 1 still sits at 12, every
+	// origin finds it there, and it moves again.
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatalf("invariants after a rolled-back move: %v", err)
+	}
+	if loc, _ := tr.Location(1); loc != 12 {
+		t.Fatalf("failed move changed the ground truth to %d, want 12", loc)
+	}
+	for n := 0; n < g.N(); n++ {
+		if got, _, err := tr.Query(graph.NodeID(n), 1); err != nil || got != 12 {
+			t.Fatalf("query from %d after the failed move: proxy %d err %v, want 12", n, got, err)
+		}
+	}
+	if err := tr.Move(1, 20); err != nil {
+		t.Fatalf("move after the failed move: %v", err)
+	}
 	if err := tr.Publish(2, 7); err != nil {
 		t.Fatalf("publish after recovery: %v", err)
 	}
@@ -153,6 +171,39 @@ func TestChaosRuntimeCrashFailsThenRecovers(t *testing.T) {
 	got, _, err := tr.Query(0, 2)
 	if err != nil || got != 18 {
 		t.Fatalf("query after recovery: proxy %d err %v, want 18", got, err)
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A publish that fails mid-walk has no effect either: the object stays
+// unpublished, no entry of it survives, and a later publish succeeds.
+func TestChaosRuntimeFailedPublishHasNoEffect(t *testing.T) {
+	tr, g := newChaosTracker(t, 5, 5, chaos.Config{Seed: 1, MaxAttempts: 2})
+	for n := 0; n < g.N(); n++ {
+		tr.Crash(graph.NodeID(n))
+	}
+	var de *chaos.DeliveryError
+	if err := tr.Publish(1, 12); !errors.As(err, &de) {
+		t.Fatalf("publish through a crashed network returned %v, want *chaos.DeliveryError", err)
+	}
+	for n := 0; n < g.N(); n++ {
+		tr.Recover(graph.NodeID(n))
+	}
+	if _, ok := tr.Location(1); ok {
+		t.Fatal("failed publish left the object published")
+	}
+	for n, c := range tr.LoadByNode() {
+		if c != 0 {
+			t.Fatalf("failed publish left %d entries at node %d", c, n)
+		}
+	}
+	if err := tr.Publish(1, 12); err != nil {
+		t.Fatalf("publish after the failed publish: %v", err)
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,10 +1,5 @@
 package runtime
 
-import (
-	"repro/internal/graph"
-	"repro/internal/obs"
-)
-
 // Observability hooks for the live-goroutine substrate. The runtime has
 // no clock at all (motlint's walltime rule bans wall time, and sleeping
 // would break determinism), so the logical clock is a cost clock: a span
@@ -22,11 +17,11 @@ func (t *Tracker) obsBegin(kind string, op *opState) {
 		return
 	}
 	t.obsMu.Lock()
-	op.at = t.obsNow
+	op.msg.Now = t.obsNow
 	t.inflight++
 	t.obs.GaugeMax("ops.inflight", float64(t.inflight))
 	t.obsMu.Unlock()
-	op.span = t.obs.StartSpan(kind, op.id, int(op.o), op.at)
+	op.msg.Span = t.obs.StartSpan(kind, op.id, int(op.msg.Obj), op.msg.Now)
 }
 
 // obsEnd closes op's span, advancing the cost clock by its final cost.
@@ -35,66 +30,17 @@ func (t *Tracker) obsEnd(op *opState) {
 		return
 	}
 	t.obsMu.Lock()
-	t.obsNow += op.cost
+	t.obsNow += op.msg.Cost
 	end := t.obsNow
 	t.inflight--
 	t.obsMu.Unlock()
-	op.span.End(end)
-}
-
-// obsEvent annotates op's span (event time = span start; Seq orders).
-func (t *Tracker) obsEvent(op *opState, kind string, level int, node graph.NodeID, cost float64) {
-	if t.obs == nil {
-		return
-	}
-	op.span.Event(kind, level, int(node), cost, op.at)
-}
-
-// obsArrive accounts the operation's arrival at node n while processing
-// the given overlay level.
-func (t *Tracker) obsArrive(op *opState, level int, n graph.NodeID) {
-	if t.obs == nil {
-		return
-	}
-	t.obs.AddAt(obs.SeriesLevelHops, level, 1)
-	op.span.Event(obs.EvHop, level, int(n), 0, op.at)
-}
-
-// obsAttempt accounts one transmission attempt toward dest (retries
-// included, mirroring the cost meter).
-func (t *Tracker) obsAttempt(op *opState, dest graph.NodeID, d float64, attempt int) {
-	if t.obs == nil {
-		return
-	}
-	t.obs.AddAt(obs.SeriesNodeMsgs, int(dest), 1)
-	if attempt > 1 {
-		op.span.Event(obs.EvRetry, -1, int(dest), d, op.at)
-	}
-}
-
-// LoadByNode returns the number of detection-list entries stored at each
-// sensor node. Slot state is owned by the node goroutines, so call only
-// at quiescence (no operations in flight).
-func (t *Tracker) LoadByNode() []int {
-	out := make([]int, len(t.slots))
-	for n, slots := range t.slots {
-		for _, s := range slots {
-			out[n] += len(s.dl)
-		}
-	}
-	return out
+	op.msg.Span.End(end)
 }
 
 // ObserveLoad snapshots LoadByNode into the recorder's node.entries
-// series, replacing any previous snapshot. Quiescence rules as above.
+// series, replacing any previous snapshot.
 func (t *Tracker) ObserveLoad() {
-	if t.obs == nil {
-		return
-	}
-	load := t.LoadByNode()
-	vals := make([]float64, len(load))
-	for i, v := range load {
-		vals[i] = float64(v)
-	}
-	t.obs.SetSeries(obs.SeriesNodeEntries, vals)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.h.ObserveLoad(t.obs, len(t.inboxes))
 }

@@ -112,4 +112,7 @@ func TestRaceTrackerMovesAndQueries(t *testing.T) {
 	if tr.Cost() <= 0 {
 		t.Fatal("no message cost accounted")
 	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }

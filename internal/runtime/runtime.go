@@ -6,12 +6,12 @@
 // iterative pseudocode "can be immediately converted to a message-passing
 // based distributed algorithm").
 //
-// The measured reproductions use the sequential engine (internal/core) and
-// the discrete-event simulator (internal/sim); this package demonstrates
-// the same protocol running on real concurrent nodes and backs the
-// examples. Operations can be observed via Options.Obs (spans and
-// per-node metrics on a cost clock, see obs.go) and the opt-in debug
-// HTTP endpoint (debug.go).
+// The tracker drives core's station handler, the one Algorithm 1 the
+// measured reproductions (internal/core, internal/sim) run: a node
+// goroutine runs each visit under one store lock and hands the message to
+// the next station's host. A failed operation is rolled back. Operations
+// can be observed via Options.Obs (spans and per-node metrics on a cost
+// clock, see obs.go) and the opt-in debug HTTP endpoint (debug.go).
 package runtime
 
 import (
@@ -29,49 +29,16 @@ import (
 	"repro/internal/runtime/track"
 )
 
-type slotKey struct {
-	level int
-	key   int64
-}
+// objStripes is the size of the per-object lock table: the operations of
+// one object serialize on the stripe its ID selects.
+const objStripes = 1024
 
-type slotState struct {
-	dl map[core.ObjectID]overlay.Station // downward pointer; Level<0 means proxy slot
-}
-
-// message is a mobile operation state traveling through the network.
-type message struct {
-	dest graph.NodeID // next node that must process it
-	op   *opState
-}
-
-type opKind int
-
-const (
-	opPublish opKind = iota
-	opInsertUp
-	opDeleteDown
-	opQueryUp
-	opQueryDown
-)
-
+// opState is one operation in flight; reply says how its walk ended.
 type opState struct {
-	kind  opKind
+	msg   core.Msg
 	id    uint64 // operation number; with hop it keys fault decisions
 	hop   int
-	o     core.ObjectID
-	path  overlay.Path
-	level int             // current level being processed
-	down  overlay.Station // target of the downward walk
-	cost  float64
-	reply chan result
-	span  obs.Span
-	at    float64 // cost-clock time the operation began
-}
-
-type result struct {
-	proxy graph.NodeID
-	cost  float64
-	err   error
+	reply chan error
 }
 
 // Client-fault classification of operation errors, so front ends
@@ -89,21 +56,21 @@ var (
 // Tracker runs the distributed MOT protocol over an overlay, one goroutine
 // per sensor node.
 type Tracker struct {
-	g  *graph.Graph
-	m  graph.DistanceOracle
-	ov overlay.Overlay
+	m graph.DistanceOracle
 
-	inboxes []chan message
+	inboxes []chan *opState
 	quit    chan struct{}
 	stopped sync.Once
 	loops   track.Group
 
-	// slots[n] is owned exclusively by node n's goroutine.
-	slots []map[slotKey]*slotState
+	// mu is the store lock: every station visit runs under it.
+	mu  sync.Mutex
+	h   *core.Handler
+	loc map[core.ObjectID]graph.NodeID
 
-	locMu sync.Mutex
-	loc   map[core.ObjectID]graph.NodeID
-	objMu map[core.ObjectID]*sync.Mutex // per-object one-by-one serialization
+	// objMu serializes each object's operations (the one-by-one
+	// discipline); an operation holds one stripe.
+	objMu [objStripes]sync.Mutex
 
 	costMu    sync.Mutex
 	totalCost float64
@@ -163,22 +130,18 @@ func New(g *graph.Graph, ov overlay.Overlay, opt ...Options) *Tracker {
 		o = opt[0]
 	}
 	t := &Tracker{
-		g:       g,
 		m:       ov.Metric(),
-		ov:      ov,
-		inboxes: make([]chan message, g.N()),
+		inboxes: make([]chan *opState, g.N()),
 		quit:    make(chan struct{}),
-		slots:   make([]map[slotKey]*slotState, g.N()),
+		h:       core.NewHandler(ov, core.Config{}),
 		loc:     make(map[core.ObjectID]graph.NodeID),
-		objMu:   make(map[core.ObjectID]*sync.Mutex),
 		inj:     o.Chaos,
 		crashed: make([]bool, g.N()),
 		obs:     o.Obs,
 		live:    o.Live,
 	}
 	for i := range t.inboxes {
-		t.inboxes[i] = make(chan message, 256)
-		t.slots[i] = make(map[slotKey]*slotState)
+		t.inboxes[i] = make(chan *opState, 256)
 	}
 	for i := 0; i < g.N(); i++ {
 		id := graph.NodeID(i)
@@ -263,24 +226,32 @@ func (t *Tracker) Cost() float64 {
 
 // Location returns the current proxy of o.
 func (t *Tracker) Location(o core.ObjectID) (graph.NodeID, bool) {
-	t.locMu.Lock()
-	defer t.locMu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	v, ok := t.loc[o]
 	return v, ok
 }
 
-func (t *Tracker) objLock(o core.ObjectID) *sync.Mutex {
-	t.locMu.Lock()
-	defer t.locMu.Unlock()
-	mu, ok := t.objMu[o]
-	if !ok {
-		mu = &sync.Mutex{}
-		t.objMu[o] = mu
-	}
-	return mu
+// CheckInvariants runs core's check over the store, at quiescence only.
+func (t *Tracker) CheckInvariants() error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.h.CheckInvariants(t.loc)
 }
 
-// send routes a message from node `from` toward op processing at dest,
+// LoadByNode returns the number of DL and SDL entries stored at each
+// sensor node.
+func (t *Tracker) LoadByNode() []int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.h.LoadByNode(len(t.inboxes))
+}
+
+func (t *Tracker) objLock(o core.ObjectID) *sync.Mutex {
+	return &t.objMu[uint64(o)%objStripes]
+}
+
+// send routes op's message on to the next station the handler named,
 // accounting the shortest-path distance (the cost model of §1.1). With a
 // fault injector installed, each attempt's fate is a pure hash of the
 // message identity (op, hop, attempt): drops are retried after simulated
@@ -288,50 +259,52 @@ func (t *Tracker) objLock(o core.ObjectID) *sync.Mutex {
 // unblocks with a typed *chaos.DeliveryError instead of hanging.
 //
 //motlint:hotpath
-func (t *Tracker) send(from graph.NodeID, msg message) {
-	op := msg.op
-	d := t.m.Dist(from, msg.dest)
+func (t *Tracker) send(op *opState) {
+	m := &op.msg
+	dest := m.Next.Host
+	d := t.m.Dist(m.At.Host, dest)
 	op.hop++
 	hop := op.hop
 	for attempt := 1; ; attempt++ {
 		t.costMu.Lock()
 		t.totalCost += d
 		t.costMu.Unlock()
-		op.cost += d
-		t.obsAttempt(op, msg.dest, d, attempt)
+		m.Cost += d
+		t.obs.Attempt(m.Span, int(dest), d, attempt, m.Now)
 		if t.inj == nil {
-			t.deliver(msg)
+			t.deliver(op)
 			return
 		}
 		var drop bool
 		var extra float64
-		if t.isCrashed(msg.dest) {
-			t.inj.DropForced(op.id, hop, attempt, msg.dest)
+		if t.isCrashed(dest) {
+			t.inj.DropForced(op.id, hop, attempt, dest)
 			drop = true
 		} else {
-			drop, extra = t.inj.Attempt(op.id, hop, attempt, msg.dest, d, -1)
+			drop, extra = t.inj.Attempt(op.id, hop, attempt, dest, d, -1)
 		}
 		if !drop {
 			if extra > 0 {
 				t.addDelay(extra)
 			}
-			t.deliver(msg)
+			t.deliver(op)
 			return
 		}
 		if attempt >= t.inj.MaxAttempts() {
-			op.reply <- result{err: t.inj.Fail(op.id, hop, attempt, msg.dest, -1)}
+			op.reply <- t.inj.Fail(op.id, hop, attempt, dest, -1)
 			return
 		}
 		t.addDelay(d + t.inj.Backoff(attempt))
 	}
 }
 
-// deliver forwards the message hop by hop to its destination inbox.
+// deliver hands op's message to the inbox of its next station's host.
 //
 //motlint:hotpath
-func (t *Tracker) deliver(msg message) {
+func (t *Tracker) deliver(op *opState) {
+	op.msg.At = op.msg.Next
 	select {
-	case t.inboxes[msg.dest] <- msg:
+	case t.inboxes[op.msg.At.Host] <- op:
 	case <-t.quit:
 	}
 }
@@ -344,116 +317,67 @@ func (t *Tracker) nodeLoop(id graph.NodeID) {
 		select {
 		case <-t.quit:
 			return
-		case msg := <-t.inboxes[id]:
-			t.handle(id, msg.op)
+		case op := <-t.inboxes[id]:
+			t.handle(id, op)
 		}
 	}
 }
 
-func (t *Tracker) slot(n graph.NodeID, st overlay.Station) *slotState {
-	k := slotKey{st.Level, st.Key}
-	s, ok := t.slots[n][k]
-	if !ok {
-		//motlint:ignore hotalloc lazy one-time materialization of a node's slot
-		s = &slotState{dl: make(map[core.ObjectID]overlay.Station)}
-		t.slots[n][k] = s
-	}
-	return s
-}
-
-// proxyMark is the sentinel downward pointer of a bottom-level proxy slot.
-var proxyMark = overlay.Station{Level: -1}
-
-// handle processes an operation arriving at node n. The node owns its slot
-// state; all mutation happens here.
+// handle runs op's visit to a station hosted at n, then forwards or replies.
+//
+//motlint:hotpath
 func (t *Tracker) handle(n graph.NodeID, op *opState) {
-	switch op.kind {
-	case opPublish, opInsertUp:
-		st := op.path[op.level][0]
-		t.obsArrive(op, op.level, n)
-		s := t.slot(n, st)
-		if op.kind == opInsertUp && op.level > 0 {
-			if old, ok := s.dl[op.o]; ok {
-				// Peak: repoint and start the delete downward.
-				s.dl[op.o] = op.path[op.level-1][0]
-				t.obsEvent(op, obs.EvPeak, op.level, n, 0)
-				t.obsEvent(op, obs.EvStamp, op.level, n, 0)
-				op.kind = opDeleteDown
-				op.down = old
-				t.send(n, message{dest: old.Host, op: op})
-				return
-			}
-		}
-		if op.level == 0 {
-			s.dl[op.o] = proxyMark
-		} else {
-			s.dl[op.o] = op.path[op.level-1][0]
-		}
-		t.obsEvent(op, obs.EvStamp, op.level, n, 0)
-		if op.level+1 < len(op.path) {
-			op.level++
-			t.send(n, message{dest: op.path[op.level][0].Host, op: op})
-			return
-		}
-		op.reply <- result{proxy: n, cost: op.cost}
-	case opDeleteDown:
-		st := op.down
-		t.obsArrive(op, st.Level, n)
-		s := t.slot(n, st)
-		next, ok := s.dl[op.o]
-		if !ok {
-			op.reply <- result{err: fmt.Errorf("runtime: delete lost trail of object %d at %v", op.o, st)}
-			return
-		}
-		delete(s.dl, op.o)
-		t.obsEvent(op, obs.EvWipe, st.Level, n, 0)
-		if next == proxyMark {
-			op.reply <- result{proxy: n, cost: op.cost}
-			return
-		}
-		op.down = next
-		t.send(n, message{dest: next.Host, op: op})
-	case opQueryUp:
-		st := op.path[op.level][0]
-		t.obsArrive(op, op.level, n)
-		s := t.slot(n, st)
-		if next, ok := s.dl[op.o]; ok {
-			t.obsEvent(op, obs.EvPeak, op.level, n, 0)
-			if next == proxyMark {
-				op.reply <- result{proxy: n, cost: op.cost}
-				return
-			}
-			op.kind = opQueryDown
-			op.down = next
-			t.send(n, message{dest: next.Host, op: op})
-			return
-		}
-		if op.level+1 >= len(op.path) {
-			op.reply <- result{err: fmt.Errorf("runtime: query for object %d passed the root", op.o)}
-			return
-		}
-		op.level++
-		t.send(n, message{dest: op.path[op.level][0].Host, op: op})
-	case opQueryDown:
-		st := op.down
-		t.obsArrive(op, st.Level, n)
-		s := t.slot(n, st)
-		next, ok := s.dl[op.o]
-		if !ok {
-			op.reply <- result{err: fmt.Errorf("runtime: query lost trail of object %d at %v", op.o, st)}
-			return
-		}
-		if next == proxyMark {
-			op.reply <- result{proxy: n, cost: op.cost}
-			return
-		}
-		op.down = next
-		t.send(n, message{dest: next.Host, op: op})
+	t.obs.Arrive(op.msg.Span, op.msg.At.Level, int(n), op.msg.Now)
+	t.mu.Lock()
+	v := t.h.Step(&op.msg)
+	for v == core.LevelDone {
+		v = t.h.Step(&op.msg)
+	}
+	t.mu.Unlock()
+	switch v {
+	case core.Forward:
+		t.send(op)
+	case core.Done:
+		op.reply <- nil
+	default:
+		op.reply <- fmt.Errorf("runtime: object %d: %v at %v", op.msg.Obj, v, op.msg.At)
+	}
+}
+
+// run starts op at its origin station — that first delivery is not a
+// hop — and blocks until its walk ends.
+func (t *Tracker) run(kind string, op *opState) error {
+	t.obsBegin(kind, op)
+	t.deliver(op)
+	err := <-op.reply
+	if err != nil {
+		op.msg.Span.Event(obs.EvAbort, -1, int(op.msg.Owner), 0, op.msg.Now)
+	}
+	t.obsEnd(op)
+	return err
+}
+
+// newOp numbers a new operation, which also versions its stamps.
+func (t *Tracker) newOp(kind core.MsgKind, o core.ObjectID, at graph.NodeID) *opState {
+	op := &opState{id: t.opSeq.Add(1), reply: make(chan error, 1)}
+	op.msg = t.h.NewMsg(kind, o, op.id, at)
+	return op
+}
+
+// rollback undoes o's failed operation in place: core's wipe, then (keep)
+// the home chain of at re-stamped at ver, the simulator's repair (not Cost).
+func (t *Tracker) rollback(o core.ObjectID, ver uint64, at graph.NodeID, keep bool) {
+	m := t.h.NewMsg(core.PublishMsg, o, ver, at)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.h.Wipe(&m)
+	if keep {
+		t.h.Walk(&m, nil)
 	}
 }
 
 // Publish introduces o at sensor node at and blocks until the detection
-// trail reaches the root.
+// trail reaches the root. A failed publish has no effect.
 func (t *Tracker) Publish(o core.ObjectID, at graph.NodeID) error {
 	st := t.live.Start()
 	err := t.publish(o, at)
@@ -465,28 +389,24 @@ func (t *Tracker) publish(o core.ObjectID, at graph.NodeID) error {
 	mu := t.objLock(o)
 	mu.Lock()
 	defer mu.Unlock()
-	t.locMu.Lock()
-	if _, ok := t.loc[o]; ok {
-		t.locMu.Unlock()
+	if _, ok := t.Location(o); ok {
 		return fmt.Errorf("runtime: object %d %w", o, ErrAlreadyPublished)
 	}
-	t.loc[o] = at
-	t.locMu.Unlock()
-	op := &opState{kind: opPublish, id: t.opSeq.Add(1), o: o, path: t.ov.DPath(at), reply: make(chan result, 1)}
-	t.obsBegin(obs.OpPublish, op)
-	t.deliver(message{dest: at, op: op})
-	res := <-op.reply
-	if res.err != nil {
-		t.obsEvent(op, obs.EvAbort, -1, at, 0)
+	if err := t.run(obs.OpPublish, t.newOp(core.PublishMsg, o, at)); err != nil {
+		t.rollback(o, 0, at, false)
+		return err
 	}
-	t.obsEnd(op)
-	return res.err
+	t.mu.Lock()
+	t.loc[o] = at
+	t.mu.Unlock()
+	return nil
 }
 
 // Move reports that o moved to sensor node to; it blocks until the
 // maintenance operation (insert and delete) completes. Moves of the same
 // object serialize (the one-by-one discipline); different objects proceed
-// concurrently on the node goroutines.
+// concurrently on the node goroutines. A failed move has no effect: the
+// object stays at its previous proxy, with its trail intact.
 func (t *Tracker) Move(o core.ObjectID, to graph.NodeID) error {
 	st := t.live.Start()
 	err := t.move(o, to)
@@ -498,33 +418,25 @@ func (t *Tracker) move(o core.ObjectID, to graph.NodeID) error {
 	mu := t.objLock(o)
 	mu.Lock()
 	defer mu.Unlock()
-	t.locMu.Lock()
-	from, ok := t.loc[o]
+	from, ok := t.Location(o)
 	if !ok {
-		t.locMu.Unlock()
 		return fmt.Errorf("runtime: object %d %w", o, ErrNotPublished)
 	}
 	if from == to {
-		t.locMu.Unlock()
 		return nil
 	}
+	op := t.newOp(core.MoveMsg, o, to)
+	err := t.run(obs.OpMove, op)
+	if err == nil && op.msg.At.Host != from {
+		err = fmt.Errorf("runtime: delete for object %d ended at %d, expected old proxy %d", o, op.msg.At.Host, from)
+	}
+	if err != nil {
+		t.rollback(o, op.id, from, true)
+		return err
+	}
+	t.mu.Lock()
 	t.loc[o] = to
-	t.locMu.Unlock()
-	op := &opState{kind: opInsertUp, id: t.opSeq.Add(1), o: o, path: t.ov.DPath(to), reply: make(chan result, 1)}
-	t.obsBegin(obs.OpMove, op)
-	// The bottom-level stamp happens at the new proxy itself.
-	t.deliver(message{dest: to, op: op})
-	res := <-op.reply
-	if res.err != nil {
-		t.obsEvent(op, obs.EvAbort, -1, to, 0)
-	}
-	t.obsEnd(op)
-	if res.err != nil {
-		return res.err
-	}
-	if res.proxy != from {
-		return fmt.Errorf("runtime: delete for object %d ended at %d, expected old proxy %d", o, res.proxy, from)
-	}
+	t.mu.Unlock()
 	return nil
 }
 
@@ -538,24 +450,19 @@ func (t *Tracker) Query(from graph.NodeID, o core.ObjectID) (graph.NodeID, float
 }
 
 func (t *Tracker) query(from graph.NodeID, o core.ObjectID) (graph.NodeID, float64, error) {
-	t.locMu.Lock()
-	_, ok := t.loc[o]
-	t.locMu.Unlock()
-	if !ok {
-		return graph.Undefined, 0, fmt.Errorf("runtime: object %d %w", o, ErrNotPublished)
-	}
 	// Queries share the object's serialization lock so they never observe
 	// a half-updated trail (the runtime's one-by-one discipline).
 	mu := t.objLock(o)
 	mu.Lock()
 	defer mu.Unlock()
-	op := &opState{kind: opQueryUp, id: t.opSeq.Add(1), o: o, path: t.ov.DPath(from), reply: make(chan result, 1)}
-	t.obsBegin(obs.OpQuery, op)
-	t.deliver(message{dest: from, op: op})
-	res := <-op.reply
-	if res.err != nil {
-		t.obsEvent(op, obs.EvAbort, -1, from, 0)
+	proxy, ok := t.Location(o)
+	if !ok {
+		return graph.Undefined, 0, fmt.Errorf("runtime: object %d %w", o, ErrNotPublished)
 	}
-	t.obsEnd(op)
-	return res.proxy, res.cost, res.err
+	op := t.newOp(core.QueryMsg, o, from)
+	op.msg.Truth = proxy
+	if err := t.run(obs.OpQuery, op); err != nil {
+		return graph.Undefined, 0, err
+	}
+	return op.msg.At.Host, op.msg.Cost, nil
 }

@@ -149,6 +149,9 @@ func TestConcurrentObjectsParallelClients(t *testing.T) {
 			t.Fatalf("object %d at %d, query said %d", o, finals[o], got)
 		}
 	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 type errQuery struct {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -61,6 +62,21 @@ func (s *Server) buildMux() *http.ServeMux {
 	mux.HandleFunc("GET /v1/query/{object}", s.handleQuery)
 	mux.HandleFunc("POST /v1/fail/{node}", s.drillHandler("fail"))
 	mux.HandleFunc("POST /v1/recover/{node}", s.drillHandler("recover"))
+	// Misses under /v1/ answer JSON too: a wrong method on a known
+	// route is a 405, anything else a 404.
+	for _, route := range []struct{ method, path string }{
+		{"POST", "/v1/publish"}, {"POST", "/v1/move"}, {"GET", "/v1/query/{object}"},
+		{"POST", "/v1/fail/{node}"}, {"POST", "/v1/recover/{node}"},
+	} {
+		allow := route.method
+		mux.HandleFunc(route.path, func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Allow", allow)
+			writeErr(w, http.StatusMethodNotAllowed, "method not allowed, use "+allow)
+		})
+	}
+	mux.HandleFunc("/v1/", func(w http.ResponseWriter, _ *http.Request) {
+		writeErr(w, http.StatusNotFound, "no such endpoint")
+	})
 	mux.HandleFunc("GET /debug/serve", s.handleDebugServe)
 	// Each shard's full runtime diagnostics ride along under a prefix:
 	// GET /debug/shard/<i>/debug/live, /debug/shard/<i>/debug/load, ...
@@ -81,21 +97,34 @@ func writeErr(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, errorResponse{Error: msg})
 }
 
+// maxBodyBytes caps a request body; valid bodies are under 100 bytes.
+const maxBodyBytes = 1 << 10
+
 // decodeBody strictly decodes a JSON request body into v: unknown
 // fields, trailing garbage and type mismatches are all 400s, so a
-// malformed report is rejected rather than half-read.
+// malformed report is rejected rather than half-read, and a body past
+// maxBodyBytes is a 413 without being read to its end.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err == nil {
+		// Only whitespace may follow the value, within the cap too.
+		if _, err = dec.Token(); err == io.EOF {
+			err = nil
+		} else if err == nil {
+			err = errors.New("trailing data")
+		}
+	}
+	if err == nil {
+		return true
+	}
+	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+		writeErr(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body over %d bytes", maxBodyBytes))
+	} else {
 		writeErr(w, http.StatusBadRequest, "malformed JSON body: "+err.Error())
-		return false
 	}
-	if dec.More() {
-		writeErr(w, http.StatusBadRequest, "malformed JSON body: trailing data")
-		return false
-	}
-	return true
+	return false
 }
 
 // admitted rejects new work once a drain has begun and counts every

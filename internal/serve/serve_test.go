@@ -301,17 +301,35 @@ func TestServeChaosDrill(t *testing.T) {
 	if resp := doJSON(t, "GET", ts.URL+"/v1/query/1", "", nil); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("query through failed root: status %d, want 503", resp.StatusCode)
 	}
+	if resp := doJSON(t, "POST", ts.URL+"/v1/move", moveBody(1, 9), nil); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("move through failed root: status %d, want 503", resp.StatusCode)
+	}
 
 	if resp := doJSON(t, "POST", fmt.Sprintf("%s/v1/recover/%d", ts.URL, root), "", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("recover drill status %d", resp.StatusCode)
 	}
+	// The 503'd move had no effect: ground truth and every origin's
+	// answer are still node 2, and the object moves again.
+	if loc, _ := s.Location(1); loc != 2 {
+		t.Fatalf("failed move changed the ground truth to %d, want 2", loc)
+	}
+	for from := 0; from < 16; from++ {
+		var q queryResponse
+		if resp := doJSON(t, "GET", fmt.Sprintf("%s/v1/query/1?from=%d", ts.URL, from), "", &q); resp.StatusCode != http.StatusOK {
+			t.Fatalf("query from %d after recovery: status %d", from, resp.StatusCode)
+		}
+		if q.Location != 2 {
+			t.Fatalf("query from %d after recovery: location %d, want 2", from, q.Location)
+		}
+	}
+	if resp := doJSON(t, "POST", ts.URL+"/v1/move", moveBody(1, 9), nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("move after recovery: status %d, want 200", resp.StatusCode)
+	}
 	var q queryResponse
-	if resp := doJSON(t, "GET", ts.URL+"/v1/query/1", "", &q); resp.StatusCode != http.StatusOK {
-		t.Fatalf("query after recovery: status %d", resp.StatusCode)
+	if resp := doJSON(t, "GET", ts.URL+"/v1/query/1", "", &q); resp.StatusCode != http.StatusOK || q.Location != 9 {
+		t.Fatalf("query after the retried move: status %d location %d, want 200 at 9", resp.StatusCode, q.Location)
 	}
-	if q.Location != 2 {
-		t.Fatalf("query after recovery: location %d, want 2", q.Location)
-	}
+	checkShards(t, s)
 
 	// Drill endpoints still validate their input.
 	if resp := doJSON(t, "POST", ts.URL+"/v1/fail/99", "", nil); resp.StatusCode != http.StatusBadRequest {
@@ -319,6 +337,17 @@ func TestServeChaosDrill(t *testing.T) {
 	}
 	if resp := doJSON(t, "POST", ts.URL+"/v1/fail/abc", "", nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("fail bad id: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// checkShards asserts core's directory invariants on every shard's
+// tracker; valid only with no operation in flight.
+func checkShards(t testing.TB, s *Server) {
+	t.Helper()
+	for _, sh := range s.shards {
+		if err := sh.tr.CheckInvariants(); err != nil {
+			t.Errorf("shard %d: %v", sh.id, err)
+		}
 	}
 }
 
@@ -566,4 +595,5 @@ func TestRaceServeMixedLoad(t *testing.T) {
 	if errs[0] != nil {
 		t.Fatalf("Shutdown: %v", errs[0])
 	}
+	checkShards(t, s)
 }

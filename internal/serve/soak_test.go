@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"os"
@@ -42,11 +43,13 @@ func soakSecs(t *testing.T) int {
 const soakP99SLO = 500 * time.Millisecond
 
 // TestSoakServe is the `make soak` tier: sustained mixed load plus a
-// rolling chaos drill against a live motserve for ~60s, then a graceful
-// drain with the service invariants asserted at quiescence — every move
-// acknowledged to a clean object (one that never saw a server fault) is
-// reflected in its final location, every queue is empty, and the
-// request p99 stayed under the (loose) SLO.
+// rolling chaos drill against a live motserve for ~60s, then the service
+// invariants at quiescence — every object sits at its last acknowledged
+// target (a 5xx'd move has no effect), a query from three seeded random
+// origins finds it there, and every shard's directory passes core's
+// invariant check — and finally a graceful drain under a fresh burst of
+// load, after which no acknowledged move is lost, every queue is empty,
+// and the request p99 stayed under the (loose) SLO.
 func TestSoakServe(t *testing.T) {
 	secs := soakSecs(t)
 	s, err := New(Config{
@@ -68,14 +71,9 @@ func TestSoakServe(t *testing.T) {
 
 	const writers = 8
 	type objState struct {
-		lastAcked int64 // -1 until the first acked move
-		// failedSince lists the targets of 5xx'd moves after the last
-		// ack: a fault mid-move may or may not have applied it, so the
-		// final location must be lastAcked or one of these — anything
-		// else (or anything older) is a lost/corrupted ack.
-		failedSince []int64
-		damaged     bool // saw any 5xx at any point
-		acks        int64
+		lastAcked int64 // the publish node until the first acked move
+		damaged   bool  // saw any 5xx at any point
+		acks      int64
 	}
 	states := make([]*objState, writers)
 	root := int64(s.Root())
@@ -83,9 +81,49 @@ func TestSoakServe(t *testing.T) {
 	var stop atomic.Bool
 	var shed atomic.Int64
 	var g track.Group
+	writer := func(obj int, st *objState) {
+		client := &http.Client{Timeout: 10 * time.Second}
+		for target := 1; !stop.Load(); target++ {
+			to := target % 144
+			resp, err := client.Post(base+"/v1/move", "application/json",
+				bytes.NewReader([]byte(moveBody(obj, to))))
+			if err != nil {
+				return
+			}
+			code := resp.StatusCode
+			_, _ = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			switch {
+			case code == http.StatusOK:
+				st.lastAcked = int64(to)
+				st.acks++
+			case code == http.StatusTooManyRequests:
+				shed.Add(1)
+			case code >= 500:
+				// Chaos fault mid-op: not acked, and rolled back.
+				st.damaged = true
+			}
+			// Interleave queries: responses must always be well-formed,
+			// whatever the drill is doing.
+			qresp, err := client.Get(fmt.Sprintf("%s/v1/query/%d", base, obj))
+			if err != nil {
+				return
+			}
+			if qresp.StatusCode == http.StatusOK {
+				var q queryResponse
+				if err := json.NewDecoder(qresp.Body).Decode(&q); err != nil {
+					panic(fmt.Sprintf("query %d: malformed 200 body: %v", obj, err))
+				}
+			} else if qresp.StatusCode >= 500 {
+				st.damaged = true
+			}
+			_, _ = io.Copy(io.Discard, qresp.Body)
+			qresp.Body.Close()
+		}
+	}
 	for w := 0; w < writers; w++ {
 		obj := 1000 + w
-		st := &objState{lastAcked: -1}
+		st := &objState{lastAcked: int64(w)}
 		states[w] = st
 		resp, err := http.Post(base+"/v1/publish", "application/json",
 			bytes.NewReader([]byte(publishBody(obj, w))))
@@ -96,52 +134,12 @@ func TestSoakServe(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("publish %d: status %d", obj, resp.StatusCode)
 		}
-		g.Go(func() {
-			client := &http.Client{Timeout: 10 * time.Second}
-			for target := 1; !stop.Load(); target++ {
-				to := target % 144
-				resp, err := client.Post(base+"/v1/move", "application/json",
-					bytes.NewReader([]byte(moveBody(obj, to))))
-				if err != nil {
-					return
-				}
-				code := resp.StatusCode
-				_, _ = io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				switch {
-				case code == http.StatusOK:
-					st.lastAcked = int64(to)
-					st.failedSince = st.failedSince[:0]
-					st.acks++
-				case code == http.StatusTooManyRequests:
-					shed.Add(1)
-				case code >= 500:
-					// Chaos fault mid-op: not acked, but possibly applied.
-					st.failedSince = append(st.failedSince, int64(to))
-					st.damaged = true
-				}
-				// Interleave queries: responses must always be well-formed,
-				// whatever the drill is doing.
-				qresp, err := client.Get(fmt.Sprintf("%s/v1/query/%d", base, obj))
-				if err != nil {
-					return
-				}
-				if qresp.StatusCode == http.StatusOK {
-					var q queryResponse
-					if err := json.NewDecoder(qresp.Body).Decode(&q); err != nil {
-						panic(fmt.Sprintf("query %d: malformed 200 body: %v", obj, err))
-					}
-				} else if qresp.StatusCode >= 500 {
-					st.damaged = true
-				}
-				_, _ = io.Copy(io.Discard, qresp.Body)
-				qresp.Body.Close()
-			}
-		})
+		g.Go(func() { writer(obj, st) })
 	}
 
 	// Rolling chaos drill: fail a non-root sensor, let traffic grind on
-	// it, recover, move on. Runs the whole soak.
+	// it, recover, move on. Runs the whole soak and always ends with the
+	// sensor recovered.
 	g.Go(func() {
 		client := &http.Client{Timeout: 10 * time.Second}
 		drill := func(action string, node int64) {
@@ -165,8 +163,48 @@ func TestSoakServe(t *testing.T) {
 	})
 
 	time.Sleep(time.Duration(secs) * time.Second)
+	stop.Store(true)
+	g.Wait()
 
-	// Drain mid-flight, exactly as SIGTERM would.
+	// Invariants at quiescence: every object is where its last ack put
+	// it, and queries from anywhere find it there.
+	checkObjects := func() {
+		t.Helper()
+		for w, st := range states {
+			obj := core.ObjectID(1000 + w)
+			if loc, ok := s.Location(obj); !ok || int64(loc) != st.lastAcked {
+				t.Errorf("object %d at %d (published %v), want its last acked target %d", obj, loc, ok, st.lastAcked)
+			}
+		}
+		checkShards(t, s)
+	}
+	checkObjects()
+	rng := rand.New(rand.NewSource(11))
+	client := &http.Client{Timeout: 10 * time.Second}
+	for w, st := range states {
+		for i := 0; i < 3; i++ {
+			from := rng.Intn(144)
+			resp, err := client.Get(fmt.Sprintf("%s/v1/query/%d?from=%d", base, 1000+w, from))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var q queryResponse
+			err = json.NewDecoder(resp.Body).Decode(&q)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || err != nil || q.Location != st.lastAcked {
+				t.Errorf("query of object %d from %d: status %d location %d (%v), want %d",
+					1000+w, from, resp.StatusCode, q.Location, err, st.lastAcked)
+			}
+		}
+	}
+
+	// Drain mid-flight under a fresh burst, exactly as SIGTERM would.
+	stop.Store(false)
+	for w, st := range states {
+		obj := 1000 + w
+		g.Go(func() { writer(obj, st) })
+	}
+	time.Sleep(200 * time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := s.Shutdown(ctx); err != nil {
@@ -175,39 +213,18 @@ func TestSoakServe(t *testing.T) {
 	stop.Store(true)
 	g.Wait()
 
-	// Invariants at quiescence.
 	snap := s.Snapshot()
 	for _, row := range snap.ShardStatus {
 		if row.QueueDepth != 0 {
 			t.Errorf("shard %d: %d moves still queued after drain", row.ID, row.QueueDepth)
 		}
 	}
+	checkObjects()
 	var acked, clean int64
-	for w, st := range states {
+	for _, st := range states {
 		acked += st.acks
 		if !st.damaged {
 			clean++
-		}
-		if st.lastAcked < 0 {
-			continue
-		}
-		obj := core.ObjectID(1000 + w)
-		loc, ok := s.Location(obj)
-		if !ok {
-			t.Errorf("object %d vanished at quiescence", obj)
-			continue
-		}
-		// The location must be the last acked target, or — when faults
-		// struck after that ack — one of the possibly-applied failed
-		// targets. Anything else means an acknowledged move was lost or
-		// a position materialized that was never requested.
-		legal := int64(loc) == st.lastAcked
-		for _, to := range st.failedSince {
-			legal = legal || int64(loc) == to
-		}
-		if !legal {
-			t.Errorf("object %d at %d, want last ack %d or a failed-since target %v — lost an acked move",
-				obj, loc, st.lastAcked, st.failedSince)
 		}
 	}
 	if acked == 0 {

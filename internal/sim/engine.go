@@ -1,5 +1,6 @@
 // Package sim provides a discrete-event simulation of concurrent MOT and
 // baseline executions (the paper's "concurrent case", §4.1.2 and §4.2.2).
+// MOTSim is a driver of core's station handler, the one Algorithm 1.
 //
 // Time is measured in the paper's unit: the duration a message needs to
 // travel unit distance, so delivering a message between hosts u and v takes

@@ -1,9 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -37,32 +38,6 @@ type Config struct {
 	Obs *obs.Recorder
 }
 
-type slotKey struct {
-	level int
-	key   int64
-}
-
-type simEntry struct {
-	child overlay.Station // downward pointer; meaningless at level 0
-	ver   uint64
-	sp    overlay.Station
-	spOK  bool
-}
-
-type simSDL struct {
-	child overlay.Station
-	ver   uint64
-}
-
-type simSlot struct {
-	station overlay.Station
-	dl      map[core.ObjectID]simEntry
-	sdl     map[core.ObjectID]simSDL
-	// fwd holds forwarding tombstones left by deletes when Redirects is
-	// enabled: the destination of the move whose delete erased the entry.
-	fwd map[core.ObjectID]graph.NodeID
-}
-
 // QueryResult records one completed simulated query.
 type QueryResult struct {
 	Origin   graph.NodeID
@@ -75,41 +50,47 @@ type QueryResult struct {
 }
 
 // MOTSim simulates concurrent MOT executions over a single-parent overlay
-// (Algorithm 1's simple form; parent sets are a one-by-one refinement).
+// (Algorithm 1's simple form; parent sets are a one-by-one refinement). It
+// drives core's station handler, delivering each next station at now +
+// dist, and keeps the concurrent machinery: Φ(i) gating, per-object move
+// queues, stale-proxy waiters, redirect tombstones and query restarts.
 type MOTSim struct {
 	eng *Engine
-	ov  overlay.Overlay
 	m   graph.DistanceOracle
 	cfg Config
 
-	slots map[slotKey]*simSlot
-	loc   map[core.ObjectID]graph.NodeID
-	ver   map[core.ObjectID]uint64
+	h   *core.Handler
+	loc map[core.ObjectID]graph.NodeID
+
+	// fwd[o][st] is the tombstone a delete left at st under Redirects:
+	// the destination of the move that erased o's entry there.
+	fwd map[core.ObjectID]map[overlay.Station]graph.NodeID
 
 	// Same-object maintenance operations execute in issue order — the
 	// serialization the paper's period scheme Φ(i) enforces for
 	// closely-spaced operations (§4.1.2; see DESIGN.md). Operations for
 	// different objects, and all queries, interleave freely.
-	queue  map[core.ObjectID][]*moveOp
+	queue  map[core.ObjectID][]*flight
 	active map[core.ObjectID]bool
 
 	// waiters[slot][o] = queries parked at a stale bottom-level proxy,
 	// resumed by the delete message carrying the new proxy.
-	waiters map[slotKey]map[core.ObjectID][]func(newProxy graph.NodeID)
+	waiters map[overlay.Station]map[core.ObjectID][]func(newProxy graph.NodeID)
 
-	meter   core.CostMeter
 	results []QueryResult
 	errs    []error
 
 	// nextOp numbers operations in issue order; fault decisions hash the
 	// (op, hop, attempt) identity, so numbering must be deterministic.
+	// Spans share these numbers (publishes, unnumbered, use 0 and differ
+	// by object), so instrumentation never perturbs fault decisions.
 	nextOp uint64
 	// lost records operations abandoned by the fault layer (delivery
 	// failures). Unlike errs these are expected under chaos and do not
 	// fail CheckInvariants; the repair path restores the trail instead.
 	lost []error
 
-	obs *obs.Recorder
+	obs *obs.Recorder // spans and metrics on the simulated clock; nil disables
 }
 
 // NewMOT builds a concurrent simulator over ov, which must produce
@@ -126,21 +107,20 @@ func NewMOT(ov overlay.Overlay, eng *Engine, cfg Config) (*MOTSim, error) {
 	}
 	return &MOTSim{
 		eng:     eng,
-		ov:      ov,
 		m:       ov.Metric(),
 		cfg:     cfg,
-		slots:   make(map[slotKey]*simSlot),
+		h:       core.NewHandler(ov, core.Config{}),
 		loc:     make(map[core.ObjectID]graph.NodeID),
-		ver:     make(map[core.ObjectID]uint64),
-		queue:   make(map[core.ObjectID][]*moveOp),
+		fwd:     make(map[core.ObjectID]map[overlay.Station]graph.NodeID),
+		queue:   make(map[core.ObjectID][]*flight),
 		active:  make(map[core.ObjectID]bool),
-		waiters: make(map[slotKey]map[core.ObjectID][]func(graph.NodeID)),
+		waiters: make(map[overlay.Station]map[core.ObjectID][]func(graph.NodeID)),
 		obs:     cfg.Obs,
 	}, nil
 }
 
 // Meter returns the accumulated cost counters.
-func (s *MOTSim) Meter() core.CostMeter { return s.meter }
+func (s *MOTSim) Meter() core.CostMeter { return s.h.Meter }
 
 // Results returns the completed query records.
 func (s *MOTSim) Results() []QueryResult { return s.results }
@@ -159,21 +139,6 @@ func (s *MOTSim) Location(o core.ObjectID) (graph.NodeID, bool) {
 	return v, ok
 }
 
-func (s *MOTSim) slot(st overlay.Station) *simSlot {
-	k := slotKey{st.Level, st.Key}
-	sl, ok := s.slots[k]
-	if !ok {
-		sl = &simSlot{
-			station: st,
-			dl:      make(map[core.ObjectID]simEntry),
-			sdl:     make(map[core.ObjectID]simSDL),
-			fwd:     make(map[core.ObjectID]graph.NodeID),
-		}
-		s.slots[k] = sl
-	}
-	return sl
-}
-
 func (s *MOTSim) fail(format string, args ...interface{}) {
 	s.errs = append(s.errs, fmt.Errorf(format, args...))
 }
@@ -184,84 +149,77 @@ func (s *MOTSim) Publish(o core.ObjectID, at graph.NodeID) error {
 	if _, ok := s.loc[o]; ok {
 		return fmt.Errorf("sim: object %d already published", o)
 	}
-	span := s.obsSpan(obs.OpPublish, 0, o)
-	path := s.ov.DPath(at)
-	cost := 0.0
-	prev := path[0][0]
-	for l := 0; l < len(path); l++ {
-		st := path[l][0]
-		cost += s.m.Dist(prev.Host, st.Host)
-		prev = st
-		s.obsAttempt(span, st.Host, 0, 1)
-		s.obsArrive(span, l, st.Host)
-		s.stamp(span, path, l, o, 0)
-	}
+	m := s.h.NewMsg(core.PublishMsg, o, 0, at)
+	m.Span = s.obs.StartSpan(obs.OpPublish, 0, int(o), s.eng.Now())
+	s.instant(&m)
 	s.loc[o] = at
-	s.ver[o] = 0
-	s.meter.PublishCost += cost
-	s.meter.PublishOps++
-	span.End(s.eng.Now())
+	s.h.Meter.PublishCost += m.Cost
+	s.h.Meter.PublishOps++
+	m.Span.End(s.eng.Now())
 	return nil
 }
 
-// stamp writes the entry for o at path[l] with the given version, handling
-// SDL registration and cost. span is the operation the stamp belongs to.
-func (s *MOTSim) stamp(span obs.Span, path overlay.Path, l int, o core.ObjectID, ver uint64) {
-	st := path[l][0]
-	var child overlay.Station
-	if l > 0 {
-		child = path[l-1][0]
-	}
-	sp, spOK := overlay.SpecialParent(path, l, 0, s.ov.SpecialOffset())
-	sl := s.slot(st)
-	if old, ok := sl.dl[o]; ok && old.spOK {
-		s.removeSDL(old.sp, st, o)
-	}
-	sl.dl[o] = simEntry{child: child, ver: ver, sp: sp, spOK: spOK}
-	delete(sl.fwd, o)
-	span.Event(obs.EvStamp, l, int(st.Host), 0, s.eng.Now())
-	if spOK {
-		s.slot(sp).sdl[o] = simSDL{child: st, ver: ver}
-		s.meter.SpecialCost += s.m.Dist(st.Host, sp.Host)
-		span.Event(obs.EvSDL, sp.Level, int(sp.Host), s.m.Dist(st.Host, sp.Host), s.eng.Now())
-	}
+// instant applies a publish-shaped walk at once, with no engine events.
+func (s *MOTSim) instant(m *core.Msg) {
+	m.Now = s.eng.Now()
+	s.h.Walk(m, func(st overlay.Station) {
+		s.obs.Attempt(m.Span, int(st.Host), 0, 1, m.Now)
+		s.obs.Arrive(m.Span, st.Level, int(st.Host), m.Now)
+	})
 }
 
-func (s *MOTSim) removeSDL(sp, child overlay.Station, o core.ObjectID) {
-	sl := s.slot(sp)
-	if se, ok := sl.sdl[o]; ok && se.child == child {
-		delete(sl.sdl, o)
+// arrive lands m at its next station.
+func (s *MOTSim) arrive(m *core.Msg) {
+	m.At = m.Next
+	s.obs.Arrive(m.Span, m.At.Level, int(m.At.Host), s.eng.Now())
+}
+
+// step applies the handler at m's station on the simulated clock.
+func (s *MOTSim) step(m *core.Msg) core.Verdict {
+	m.Now = s.eng.Now()
+	v := s.h.Step(m)
+	for v == core.LevelDone {
+		v = s.h.Step(m)
 	}
+	return v
 }
 
 // --- maintenance -----------------------------------------------------
 
-type moveOp struct {
+// flight is one operation in flight.
+type flight struct {
 	id       uint64
 	hop      int
-	o        core.ObjectID
-	ver      uint64
-	from, to graph.NodeID
-	path     overlay.Path
-	pos      graph.NodeID
-	cost     float64
+	msg      core.Msg
 	optimal  float64
-	span     obs.Span
+	origin   graph.NodeID // queries only, like restarts and waited
+	restarts int
+	waited   bool
 }
 
-// send routes one message of a maintenance operation through the fault
-// layer; each transmission attempt (including retries) costs one travel.
-func (s *MOTSim) send(op *moveOp, dest graph.NodeID, fn func()) {
-	d := s.m.Dist(op.pos, dest)
+// send routes one message of op to dest through the fault layer; each
+// transmission attempt (including retries) costs one travel.
+func (s *MOTSim) send(op *flight, dest graph.NodeID, fn func()) {
+	m := &op.msg
+	d := s.m.Dist(m.At.Host, dest)
 	op.hop++
 	s.eng.Deliver(Delivery{
 		Op:        op.id,
 		Hop:       op.hop,
 		Dest:      dest,
 		Dist:      d,
-		OnAttempt: func(att int) { op.cost += d; s.obsAttempt(op.span, dest, d, att) },
+		OnAttempt: func(att int) { m.Cost += d; s.obs.Attempt(m.Span, int(dest), d, att, s.eng.Now()) },
 		Fn:        fn,
-		OnFail:    func(err error) { s.abortMove(op, err) },
+		OnFail: func(err error) {
+			if m.Kind == core.MoveMsg {
+				s.abortMove(op, err)
+				return
+			}
+			s.lost = append(s.lost, fmt.Errorf("sim: query for %d from %d lost: %w", m.Obj, op.origin, err))
+			s.h.Meter.RecoveryCost += m.Cost
+			m.Span.Event(obs.EvAbort, -1, int(dest), 0, s.eng.Now())
+			m.Span.End(s.eng.Now())
+		},
 	})
 }
 
@@ -279,11 +237,10 @@ func (s *MOTSim) IssueMove(o core.ObjectID, to graph.NodeID, at float64) error {
 			return
 		}
 		s.loc[o] = to
-		s.ver[o]++
 		s.nextOp++
-		op := &moveOp{id: s.nextOp, o: o, ver: s.ver[o], from: from, to: to, path: s.ov.DPath(to), pos: to,
-			optimal: s.m.Dist(from, to)}
-		op.span = s.obsSpan(obs.OpMove, op.id, o)
+		// The operation number is also the stamped version.
+		op := &flight{id: s.nextOp, msg: s.h.NewMsg(core.MoveMsg, o, s.nextOp, to), optimal: s.m.Dist(from, to)}
+		op.msg.Span = s.obs.StartSpan(obs.OpMove, op.id, int(o), s.eng.Now())
 		s.queue[o] = append(s.queue[o], op)
 		s.pump(o)
 	})
@@ -299,26 +256,43 @@ func (s *MOTSim) pump(o core.ObjectID) {
 	op := s.queue[o][0]
 	s.queue[o] = s.queue[o][1:]
 	s.active[o] = true
-	s.stamp(op.span, op.path, 0, o, op.ver)
-	s.enterLevel(op, 1)
+	s.climbed(op, s.step(&op.msg))
 }
 
-// enterLevel applies the period gate, then travels to the level-k station.
-func (s *MOTSim) enterLevel(op *moveOp, k int) {
-	if k >= len(op.path) {
-		s.fail("sim: move %d/%d passed the root", op.o, op.ver)
-		s.finishMove(op)
-		return
+// climbed reacts to the handler at the station a climbing move stamped.
+func (s *MOTSim) climbed(op *flight, v core.Verdict) {
+	m := &op.msg
+	if v != core.Overtaken {
+		delete(s.fwd[m.Obj], m.At)
 	}
+	switch {
+	case v != core.Forward:
+		// Overtaken, or past the root: impossible under per-object
+		// serialization; defensive.
+		s.fail("sim: move %d/%d stopped: %v at %v", m.Obj, m.Ver, v, m.At)
+		s.finishMove(op)
+	case m.Climbing():
+		s.enterLevel(op)
+	default:
+		s.deleteStep(op) // the peak: prune the old chain
+	}
+}
+
+// enterLevel applies the period gate, then travels to the next level.
+func (s *MOTSim) enterLevel(op *flight) {
+	m := &op.msg
 	proceed := func() {
-		st := op.path[k][0]
-		s.send(op, st.Host, func() { s.arriveLevel(op, k) })
+		s.send(op, m.Next.Host, func() {
+			s.arrive(m)
+			s.climbed(op, s.step(m))
+		})
 	}
 	if s.cfg.PeriodSync {
+		k := m.Next.Level
 		phi := math.Pow(2, float64(k)) * phiBase
 		boundary := math.Ceil(s.eng.Now()/phi) * phi
 		if boundary > s.eng.Now() {
-			op.span.Event(obs.EvWait, k, int(op.pos), boundary-s.eng.Now(), s.eng.Now())
+			m.Span.Event(obs.EvWait, k, int(m.At.Host), boundary-s.eng.Now(), s.eng.Now())
 			s.eng.At(boundary, proceed)
 			return
 		}
@@ -326,137 +300,96 @@ func (s *MOTSim) enterLevel(op *moveOp, k int) {
 	proceed()
 }
 
-// arriveLevel processes the level-k station: either the peak (an older
-// entry exists — repoint and start the delete) or a fresh stamp and climb.
-func (s *MOTSim) arriveLevel(op *moveOp, k int) {
-	st := op.path[k][0]
-	op.pos = st.Host
-	s.obsArrive(op.span, k, st.Host)
-	sl := s.slot(st)
-	if e, ok := sl.dl[op.o]; ok {
-		if e.ver >= op.ver {
-			// Cannot happen under per-object serialization; defensive.
-			s.fail("sim: move %d/%d overtaken at level %d", op.o, op.ver, k)
-			s.finishMove(op)
-			return
-		}
-		// Peak: repoint to the new chain, then prune the old one.
-		op.span.Event(obs.EvPeak, k, int(st.Host), 0, s.eng.Now())
-		s.stamp(op.span, op.path, k, op.o, op.ver)
-		s.deleteStep(op, e.child)
-		return
-	}
-	s.stamp(op.span, op.path, k, op.o, op.ver)
-	s.enterLevel(op, k+1)
-}
-
 // deleteStep travels to the next station of the old trail and erases it.
-func (s *MOTSim) deleteStep(op *moveOp, target overlay.Station) {
-	s.send(op, target.Host, func() {
-		op.pos = target.Host
-		s.obsArrive(op.span, target.Level, target.Host)
-		sl := s.slot(target)
-		e, ok := sl.dl[op.o]
-		if !ok || e.ver >= op.ver {
+func (s *MOTSim) deleteStep(op *flight) {
+	m := &op.msg
+	s.send(op, m.Next.Host, func() {
+		s.arrive(m)
+		switch s.step(m) {
+		case core.Forward:
+			s.tombstone(m)
+			s.deleteStep(op)
+		case core.Done:
+			s.tombstone(m)
+			s.resolveWaiters(m.At, m.Obj, m.Owner)
+			s.finishMove(op)
+		default:
 			// The entry was already replaced by a newer move; the newer
 			// chain owns everything below.
 			s.finishMove(op)
-			return
 		}
-		delete(sl.dl, op.o)
-		op.span.Event(obs.EvWipe, target.Level, int(target.Host), 0, s.eng.Now())
-		if s.cfg.Redirects {
-			sl.fwd[op.o] = op.to
-		}
-		if e.spOK {
-			s.removeSDL(e.sp, target, op.o)
-			s.meter.SpecialCost += s.m.Dist(target.Host, e.sp.Host)
-		}
-		if target.Level == 0 {
-			s.resolveWaiters(target, op.o, op.to)
-			s.finishMove(op)
-			return
-		}
-		s.deleteStep(op, e.child)
 	})
 }
 
-func (s *MOTSim) finishMove(op *moveOp) {
-	s.meter.AddMaintSample(op.cost, op.optimal)
-	op.span.End(s.eng.Now())
-	s.active[op.o] = false
-	s.pump(op.o)
+// tombstone leaves the mover's destination where the delete just erased.
+func (s *MOTSim) tombstone(m *core.Msg) {
+	if !s.cfg.Redirects {
+		return
+	}
+	if s.fwd[m.Obj] == nil {
+		s.fwd[m.Obj] = make(map[overlay.Station]graph.NodeID)
+	}
+	s.fwd[m.Obj][m.At] = m.Owner
+}
+
+func (s *MOTSim) finishMove(op *flight) {
+	s.h.Meter.AddMaintSample(op.msg.Cost, op.optimal)
+	op.msg.Span.End(s.eng.Now())
+	s.active[op.msg.Obj] = false
+	s.pump(op.msg.Obj)
 }
 
 // abortMove handles a maintenance message that exhausted its delivery
 // budget: the move is recorded as lost, its travel so far is charged to
 // recovery (not the maintenance ratio), and the object's trail is rebuilt
 // from the ground truth so invariants hold at quiescence.
-func (s *MOTSim) abortMove(op *moveOp, err error) {
-	s.lost = append(s.lost, fmt.Errorf("sim: move %d/%d lost: %w", op.o, op.ver, err))
-	s.meter.RecoveryCost += op.cost
-	op.span.Event(obs.EvAbort, -1, int(op.pos), 0, s.eng.Now())
-	op.span.End(s.eng.Now())
+func (s *MOTSim) abortMove(op *flight, err error) {
+	m := &op.msg
+	s.lost = append(s.lost, fmt.Errorf("sim: move %d/%d lost: %w", m.Obj, m.Ver, err))
+	s.h.Meter.RecoveryCost += m.Cost
+	m.Span.Event(obs.EvAbort, -1, int(m.At.Host), 0, s.eng.Now())
+	m.Span.End(s.eng.Now())
 	// The repair walk is its own recovery span, sharing the failed move's
 	// operation number (kind disambiguates in the export sort).
-	rspan := s.obsSpan(obs.OpRecovery, op.id, op.o)
-	s.repair(rspan, op.o, op.ver)
+	rspan := s.obs.StartSpan(obs.OpRecovery, op.id, int(m.Obj), s.eng.Now())
+	s.repair(rspan, m.Obj, m.Ver)
 	rspan.End(s.eng.Now())
-	s.active[op.o] = false
-	s.pump(op.o)
+	s.active[m.Obj] = false
+	s.pump(m.Obj)
 }
 
 // repair re-establishes o's trail after a failed operation left it in an
-// unknown intermediate state: every entry of o is wiped and the full home
-// chain of the current ground-truth proxy is re-stamped with the failed
-// operation's version (the §7 fine-grained path — rebuild one object's
-// chain, not the directory). Queries parked at stale proxies are released
-// toward the repaired proxy.
+// unknown intermediate state: core's wipe, then the home chain of the
+// ground-truth proxy re-stamped at the failed operation's version (later
+// queued moves carry higher ones) — the §7 fine-grained path. Queries
+// parked at stale proxies are released toward the repaired proxy.
 func (s *MOTSim) repair(span obs.Span, o core.ObjectID, ver uint64) {
-	keys := make([]slotKey, 0, len(s.slots))
-	for k := range s.slots {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].level != keys[j].level {
-			return keys[i].level < keys[j].level
-		}
-		return keys[i].key < keys[j].key
-	})
-	// One aggregate wipe event covers the whole sweep.
-	span.Event(obs.EvWipe, -1, int(s.loc[o]), 0, s.eng.Now())
-	for _, k := range keys {
-		sl := s.slots[k]
-		delete(sl.dl, o)
-		delete(sl.sdl, o)
-		delete(sl.fwd, o)
-	}
 	proxy := s.loc[o]
-	path := s.ov.DPath(proxy)
-	cost := 0.0
-	prev := path[0][0]
-	for l := 0; l < len(path); l++ {
-		st := path[l][0]
-		cost += s.m.Dist(prev.Host, st.Host)
-		prev = st
-		s.obsAttempt(span, st.Host, 0, 1)
-		s.obsArrive(span, l, st.Host)
-		s.stamp(span, path, l, o, ver)
-	}
-	s.meter.RecoveryCost += cost
-	s.meter.RecoveryOps++
+	m := s.h.NewMsg(core.PublishMsg, o, ver, proxy)
+	m.Span, m.Now = span, s.eng.Now()
+	s.h.Wipe(&m)
+	delete(s.fwd, o)
+	s.instant(&m)
+	s.h.Meter.RecoveryCost += m.Cost
+	s.h.Meter.RecoveryOps++
 	// Release every query parked on o, in deterministic slot order; they
 	// chase the repaired proxy (and re-anchor if the object moves again).
-	for _, k := range keys {
-		if byObj, ok := s.waiters[k]; ok && len(byObj[o]) > 0 {
-			s.resolveWaiters(s.slots[k].station, o, proxy)
+	keys := make([]overlay.Station, 0, len(s.waiters))
+	for k, byObj := range s.waiters {
+		if len(byObj[o]) > 0 {
+			keys = append(keys, k)
 		}
+	}
+	slices.SortFunc(keys, func(a, b overlay.Station) int {
+		return cmp.Or(cmp.Compare(a.Level, b.Level), cmp.Compare(a.Key, b.Key))
+	})
+	for _, k := range keys {
+		s.resolveWaiters(k, o, proxy)
 	}
 }
 
 func (s *MOTSim) resolveWaiters(st overlay.Station, o core.ObjectID, newProxy graph.NodeID) {
-	k := slotKey{st.Level, st.Key}
-	if byObj, ok := s.waiters[k]; ok {
+	if byObj, ok := s.waiters[st]; ok {
 		ws := byObj[o]
 		delete(byObj, o)
 		for _, w := range ws {
@@ -467,40 +400,6 @@ func (s *MOTSim) resolveWaiters(st overlay.Station, o core.ObjectID, newProxy gr
 
 // --- queries ----------------------------------------------------------
 
-type queryOp struct {
-	id       uint64
-	hop      int
-	origin   graph.NodeID
-	o        core.ObjectID
-	pos      graph.NodeID
-	cost     float64
-	optimal  float64
-	restarts int
-	waited   bool
-	lastSlot *simSlot // slot where the trail last broke (for redirects)
-	span     obs.Span
-}
-
-// qsend routes one query message through the fault layer.
-func (s *MOTSim) qsend(q *queryOp, dest graph.NodeID, fn func()) {
-	d := s.m.Dist(q.pos, dest)
-	q.hop++
-	s.eng.Deliver(Delivery{
-		Op:        q.id,
-		Hop:       q.hop,
-		Dest:      dest,
-		Dist:      d,
-		OnAttempt: func(att int) { q.cost += d; s.obsAttempt(q.span, dest, d, att) },
-		Fn:        fn,
-		OnFail: func(err error) {
-			s.lost = append(s.lost, fmt.Errorf("sim: query for %d from %d lost: %w", q.o, q.origin, err))
-			s.meter.RecoveryCost += q.cost
-			q.span.Event(obs.EvAbort, -1, int(dest), 0, s.eng.Now())
-			q.span.End(s.eng.Now())
-		},
-	})
-}
-
 // IssueQuery schedules a query from origin for o at time at.
 func (s *MOTSim) IssueQuery(origin graph.NodeID, o core.ObjectID, at float64) error {
 	if _, ok := s.loc[o]; !ok {
@@ -508,89 +407,48 @@ func (s *MOTSim) IssueQuery(origin graph.NodeID, o core.ObjectID, at float64) er
 	}
 	s.eng.At(at, func() {
 		s.nextOp++
-		q := &queryOp{id: s.nextOp, origin: origin, o: o, pos: origin}
-		q.optimal = s.m.Dist(origin, s.loc[o])
-		q.span = s.obsSpan(obs.OpQuery, q.id, o)
-		s.climb(q, s.ov.DPath(origin), 0)
+		q := &flight{id: s.nextOp, msg: s.h.NewMsg(core.QueryMsg, o, 0, origin), origin: origin, optimal: s.m.Dist(origin, s.loc[o])}
+		q.msg.Span = s.obs.StartSpan(obs.OpQuery, q.id, int(o), s.eng.Now())
+		s.forward(q)
 	})
 	return nil
 }
 
-// climb travels up the requester's detection path looking for the object in
-// DLs and SDLs (Algorithm 1 lines 19–24).
-func (s *MOTSim) climb(q *queryOp, path overlay.Path, k int) {
-	if k >= len(path) {
-		s.fail("sim: query for %d from %d passed the root", q.o, q.origin)
-		return
-	}
-	st := path[k][0]
-	s.qsend(q, st.Host, func() {
-		q.pos = st.Host
-		s.obsArrive(q.span, k, st.Host)
-		sl := s.slot(st)
-		if _, ok := sl.dl[q.o]; ok {
-			q.span.Event(obs.EvPeak, k, int(st.Host), 0, s.eng.Now())
-			s.descend(q, st)
-			return
-		}
-		if se, ok := sl.sdl[q.o]; ok {
-			q.span.Event(obs.EvSDL, k, int(st.Host), 0, s.eng.Now())
-			s.hopTo(q, se.child)
-			return
-		}
-		s.climb(q, path, k+1)
-	})
-}
-
-// hopTo travels to a station believed to hold the object and descends.
-func (s *MOTSim) hopTo(q *queryOp, st overlay.Station) {
-	s.qsend(q, st.Host, func() {
-		q.pos = st.Host
-		s.obsArrive(q.span, st.Level, st.Host)
-		if sl := s.slot(st); true {
-			if _, ok := sl.dl[q.o]; !ok {
-				q.lastSlot = sl
-				s.restart(q)
+// forward carries the query to the next station the handler named (up
+// the path, across an SDL shortcut, or down the trail) and applies it.
+func (s *MOTSim) forward(q *flight) {
+	m := &q.msg
+	s.send(q, m.Next.Host, func() {
+		s.arrive(m)
+		m.Truth = s.loc[m.Obj]
+		switch s.step(m) {
+		case core.Forward:
+			s.forward(q)
+		case core.Done:
+			s.complete(q)
+		case core.StaleProxy:
+			s.park(q)
+		case core.TrailLost:
+			if m.Climbing() {
+				s.fail("sim: query for %d from %d passed the root", m.Obj, q.origin)
 				return
 			}
+			s.restart(q)
 		}
-		s.descend(q, st)
 	})
 }
 
-// descend follows downward pointers; q.pos is already at st's host and st
-// is known to hold the object.
-func (s *MOTSim) descend(q *queryOp, st overlay.Station) {
-	sl := s.slot(st)
-	e, ok := sl.dl[q.o]
-	if !ok {
-		q.lastSlot = sl
-		s.restart(q)
-		return
+// park holds a query at a stale proxy: the object moved and the delete has
+// not arrived yet. The delete resumes it; it carries the new proxy.
+func (s *MOTSim) park(q *flight) {
+	m := &q.msg
+	q.waited = true
+	m.Span.Event(obs.EvWait, 0, int(m.At.Host), 0, s.eng.Now())
+	if s.waiters[m.At] == nil {
+		s.waiters[m.At] = make(map[core.ObjectID][]func(graph.NodeID))
 	}
-	if st.Level == 0 {
-		if s.loc[q.o] == st.Host {
-			s.complete(q, st.Host)
-			return
-		}
-		// Stale proxy: the object moved and the delete has not arrived
-		// yet. Wait for it; it carries the new proxy.
-		q.waited = true
-		q.span.Event(obs.EvWait, 0, int(st.Host), 0, s.eng.Now())
-		k := slotKey{st.Level, st.Key}
-		if s.waiters[k] == nil {
-			s.waiters[k] = make(map[core.ObjectID][]func(graph.NodeID))
-		}
-		s.waiters[k][q.o] = append(s.waiters[k][q.o], func(newProxy graph.NodeID) {
-			s.chase(q, newProxy)
-		})
-		return
-	}
-	next := e.child
-	s.qsend(q, next.Host, func() {
-		q.pos = next.Host
-		s.obsArrive(q.span, next.Level, next.Host)
-		s.descend(q, next)
+	s.waiters[m.At][m.Obj] = append(s.waiters[m.At][m.Obj], func(newProxy graph.NodeID) {
+		s.chase(q, newProxy)
 	})
 }
 
@@ -598,54 +456,54 @@ func (s *MOTSim) descend(q *queryOp, st overlay.Station) {
 // forwarding tombstone. If the object has moved on again by arrival, the
 // query re-anchors at this proxy's bottom-level slot — whose own tombstone
 // (if the next delete already passed) chains the chase forward.
-func (s *MOTSim) chase(q *queryOp, proxy graph.NodeID) {
-	s.qsend(q, proxy, func() {
-		q.pos = proxy
-		s.obsArrive(q.span, 0, proxy)
-		if s.loc[q.o] == proxy {
-			s.complete(q, proxy)
+func (s *MOTSim) chase(q *flight, proxy graph.NodeID) {
+	m := &q.msg
+	s.send(q, proxy, func() {
+		m.At = overlay.Station{Level: 0, Key: int64(proxy), Host: proxy}
+		s.obs.Arrive(m.Span, 0, int(proxy), s.eng.Now())
+		if s.loc[m.Obj] == proxy {
+			s.complete(q)
 			return
 		}
-		q.lastSlot = s.slots[slotKey{0, int64(proxy)}]
 		s.restart(q)
 	})
 }
 
-// restart re-climbs from the query's current position after a lost trail,
-// or — with Redirects — follows the forwarding tombstone the delete left
-// behind, heading straight for the mover's destination.
-func (s *MOTSim) restart(q *queryOp) {
+// restart re-climbs from where the query stands after a lost trail, or —
+// with Redirects — follows the tombstone a delete left there, heading
+// straight for the mover's destination.
+func (s *MOTSim) restart(q *flight) {
+	m := &q.msg
 	q.restarts++
-	q.span.Event(obs.EvRestart, -1, int(q.pos), 0, s.eng.Now())
+	m.Span.Event(obs.EvRestart, -1, int(m.At.Host), 0, s.eng.Now())
 	if q.restarts > maxRestarts {
-		s.fail("sim: query for %d from %d exceeded %d restarts", q.o, q.origin, maxRestarts)
+		s.fail("sim: query for %d from %d exceeded %d restarts", m.Obj, q.origin, maxRestarts)
 		return
 	}
-	// Tombstones live at the station where the trail broke; consume the
-	// anchor so a failed chase cannot re-follow the same stale pointer.
-	if s.cfg.Redirects && q.lastSlot != nil {
-		last := q.lastSlot
-		q.lastSlot = nil
-		if to, ok := last.fwd[q.o]; ok && to != q.pos {
+	if s.cfg.Redirects {
+		if to, ok := s.fwd[m.Obj][m.At]; ok && to != m.At.Host {
 			s.chase(q, to)
 			return
 		}
 	}
-	s.climb(q, s.ov.DPath(q.pos), 0)
+	fresh := s.h.NewMsg(core.QueryMsg, m.Obj, 0, m.At.Host)
+	fresh.Cost, fresh.Span = m.Cost, m.Span
+	q.msg = fresh
+	s.forward(q)
 }
 
-func (s *MOTSim) complete(q *queryOp, found graph.NodeID) {
+func (s *MOTSim) complete(q *flight) {
+	m := &q.msg
 	s.results = append(s.results, QueryResult{
-		Origin: q.origin, Object: q.o, Found: found,
-		Cost: q.cost, Optimal: q.optimal, Restarts: q.restarts, Waited: q.waited,
+		Origin: q.origin, Object: m.Obj, Found: m.At.Host,
+		Cost: m.Cost, Optimal: q.optimal, Restarts: q.restarts, Waited: q.waited,
 	})
-	s.meter.AddQuerySample(q.cost, q.optimal)
-	q.span.End(s.eng.Now())
+	s.h.Meter.AddQuerySample(m.Cost, q.optimal)
+	m.Span.End(s.eng.Now())
 }
 
-// CheckInvariants validates quiescent-state consistency: every object's
-// trail runs root → proxy with strictly usable pointers and no orphans.
-// Call only after Engine.Run has drained all events.
+// CheckInvariants runs core's consistency check. Call only after
+// Engine.Run has drained all events.
 func (s *MOTSim) CheckInvariants() error {
 	if s.eng.Pending() > 0 {
 		return fmt.Errorf("sim: invariants checked before quiescence (%d events pending)", s.eng.Pending())
@@ -653,29 +511,5 @@ func (s *MOTSim) CheckInvariants() error {
 	for _, err := range s.errs {
 		return fmt.Errorf("sim: protocol error during run: %w", err)
 	}
-	for o, proxy := range s.loc {
-		st := s.ov.Root()
-		onTrail := map[slotKey]bool{}
-		for {
-			sl := s.slot(st)
-			e, ok := sl.dl[o]
-			if !ok {
-				return fmt.Errorf("sim: trail for %d broken at %v", o, st)
-			}
-			onTrail[slotKey{st.Level, st.Key}] = true
-			if st.Level == 0 {
-				if st.Host != proxy {
-					return fmt.Errorf("sim: trail for %d ends at %d, proxy %d", o, st.Host, proxy)
-				}
-				break
-			}
-			st = e.child
-		}
-		for k, sl := range s.slots {
-			if _, has := sl.dl[o]; has && !onTrail[k] {
-				return fmt.Errorf("sim: orphaned entry for %d at %v", o, sl.station)
-			}
-		}
-	}
-	return nil
+	return s.h.CheckInvariants(s.loc)
 }

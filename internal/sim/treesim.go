@@ -229,20 +229,31 @@ func (s *TreeSim) resolveWaiters(node int, o core.ObjectID, newProxy graph.NodeI
 
 // --- queries ----------------------------------------------------------
 
+// treeQuery is one query in flight over the tree.
+type treeQuery struct {
+	origin   graph.NodeID
+	o        core.ObjectID
+	pos      graph.NodeID
+	cost     float64
+	optimal  float64
+	restarts int
+	waited   bool
+}
+
 // IssueQuery schedules a query from origin for o at time at.
 func (s *TreeSim) IssueQuery(origin graph.NodeID, o core.ObjectID, at float64) error {
 	if _, ok := s.loc[o]; !ok {
 		return fmt.Errorf("sim: object %d not published", o)
 	}
 	s.eng.At(at, func() {
-		q := &queryOp{origin: origin, o: o, pos: origin}
+		q := &treeQuery{origin: origin, o: o, pos: origin}
 		q.optimal = s.m.Dist(origin, s.loc[o])
 		s.startQuery(q, origin)
 	})
 	return nil
 }
 
-func (s *TreeSim) startQuery(q *queryOp, from graph.NodeID) {
+func (s *TreeSim) startQuery(q *treeQuery, from graph.NodeID) {
 	if s.tc.SinkQueries {
 		root := s.t.Root()
 		d := s.m.Dist(q.pos, s.t.Host(root))
@@ -265,7 +276,7 @@ func (s *TreeSim) startQuery(q *queryOp, from graph.NodeID) {
 	s.climbQuery(q, -1, leaf)
 }
 
-func (s *TreeSim) climbQuery(q *queryOp, prev, id int) {
+func (s *TreeSim) climbQuery(q *treeQuery, prev, id int) {
 	if id == -1 {
 		s.fail("sim: query for %d passed the root", q.o)
 		return
@@ -287,7 +298,7 @@ func (s *TreeSim) climbQuery(q *queryOp, prev, id int) {
 	})
 }
 
-func (s *TreeSim) descend(q *queryOp, id int) {
+func (s *TreeSim) descend(q *treeQuery, id int) {
 	e, ok := s.dl[id][q.o]
 	if !ok {
 		if s.cfg.Redirects {
@@ -338,7 +349,7 @@ func (s *TreeSim) descend(q *queryOp, id int) {
 	})
 }
 
-func (s *TreeSim) chase(q *queryOp, proxy graph.NodeID) {
+func (s *TreeSim) chase(q *treeQuery, proxy graph.NodeID) {
 	d := s.m.Dist(q.pos, proxy)
 	q.cost += d
 	s.eng.After(d, func() {
@@ -351,7 +362,7 @@ func (s *TreeSim) chase(q *queryOp, proxy graph.NodeID) {
 	})
 }
 
-func (s *TreeSim) restart(q *queryOp) {
+func (s *TreeSim) restart(q *treeQuery) {
 	q.restarts++
 	if q.restarts > maxRestarts {
 		s.fail("sim: tree query for %d exceeded %d restarts", q.o, maxRestarts)
@@ -360,7 +371,7 @@ func (s *TreeSim) restart(q *queryOp) {
 	s.startQuery(q, q.pos)
 }
 
-func (s *TreeSim) complete(q *queryOp, found graph.NodeID) {
+func (s *TreeSim) complete(q *treeQuery, found graph.NodeID) {
 	s.results = append(s.results, QueryResult{
 		Origin: q.origin, Object: q.o, Found: found,
 		Cost: q.cost, Optimal: q.optimal, Restarts: q.restarts, Waited: q.waited,
