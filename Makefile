@@ -43,11 +43,12 @@
 #                  overhead pins: nil-sink allocs and runtime ops with
 #                  live on vs off, and the motserve serving rows:
 #                  publish/move/query ops through the sharded HTTP front
-#                  end) written to BENCH_10.json; CI uploads the file as
-#                  an artifact
+#                  end) written to BENCH_15.json, the committed baseline;
+#                  CI uploads the file as an artifact. BENCH_10.json
+#                  stays committed as the previous trajectory point
 #   make bench-gate — the CI regression gate: re-measure the suite into
 #                  BENCH_current.json (never committed) and diff it
-#                  against the committed BENCH_10.json baseline with
+#                  against the committed BENCH_15.json baseline with
 #                  cmd/benchdiff — >15% ns/op growth or any allocs/op
 #                  growth on a pinned benchmark fails; benchdiff.md
 #                  holds the delta table CI uploads
@@ -130,11 +131,11 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 
 bench-json:
-	$(GO) run ./cmd/motsim -benchjson BENCH_10.json
+	$(GO) run ./cmd/motsim -benchjson BENCH_15.json
 
 bench-gate:
 	$(GO) run ./cmd/motsim -benchjson BENCH_current.json
-	$(GO) run ./cmd/benchdiff -baseline BENCH_10.json -current BENCH_current.json -md benchdiff.md
+	$(GO) run ./cmd/benchdiff -baseline BENCH_15.json -current BENCH_current.json -md benchdiff.md
 
 motbench:
 	cd cmd/motbench && $(GO) vet ./... && $(GO) test ./...

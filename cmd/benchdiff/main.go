@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	benchdiff -baseline BENCH_10.json -current BENCH_current.json -md benchdiff.md
+//	benchdiff -baseline BENCH_15.json -current BENCH_current.json -md benchdiff.md
 package main
 
 import (

@@ -9,16 +9,19 @@ import (
 	"repro/internal/runtime"
 )
 
-// Distributed is a live, goroutine-per-node realization of MOT: every
-// sensor runs as its own goroutine and operations travel as messages
-// between them, running the same Algorithm 1 handler as Tracker. It trades
-// Tracker's detailed metering for actual distributed execution.
+// Distributed is a live message-passing realization of MOT: operations
+// walk station to station on the caller's goroutine as per-hop messages
+// between sensors (with per-attempt costs, faults and retries), running
+// the same Algorithm 1 handler as Tracker. It trades Tracker's detailed
+// metering for distributed execution.
 type Distributed struct {
 	tr *runtime.Tracker
 }
 
-// NewDistributed builds the overlay and starts one goroutine per sensor.
-// Call Close when done.
+// ErrStopped reports a Distributed operation issued after Close.
+var ErrStopped = runtime.ErrStopped
+
+// NewDistributed builds the overlay; it starts no goroutine.
 func NewDistributed(g *Graph, opt Options) (*Distributed, error) {
 	m := graph.NewMetric(g)
 	hs, err := hier.Build(g, m, hier.Config{
@@ -73,11 +76,11 @@ func (d *Distributed) SimulatedDelay() float64 { return d.tr.SimulatedDelay() }
 // FaultTrace returns the deterministic fault trace (nil without chaos).
 func (d *Distributed) FaultTrace() *FaultTrace { return d.tr.FaultTrace() }
 
-// Publish introduces object o at sensor at; it blocks until the detection
+// Publish introduces object o at sensor at; it returns once the detection
 // trail reaches the root. A failed publish has no effect.
 func (d *Distributed) Publish(o ObjectID, at NodeID) error { return d.tr.Publish(o, at) }
 
-// Move reports that o moved to sensor to; it blocks until the maintenance
+// Move reports that o moved to sensor to; it returns when the maintenance
 // operation completes. A failed move has no effect. Same-object moves
 // serialize; different objects proceed concurrently.
 func (d *Distributed) Move(o ObjectID, to NodeID) error { return d.tr.Move(o, to) }
@@ -94,5 +97,7 @@ func (d *Distributed) Location(o ObjectID) (NodeID, bool) { return d.tr.Location
 // Cost returns the total distance traveled by all messages so far.
 func (d *Distributed) Cost() float64 { return d.tr.Cost() }
 
-// Close stops all node goroutines.
+// Close stops the tracker: operations issued afterwards fail with
+// ErrStopped, while operations already walking finish. Close is
+// idempotent.
 func (d *Distributed) Close() { d.tr.Stop() }

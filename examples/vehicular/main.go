@@ -1,9 +1,9 @@
-// Vehicular tracking on the live distributed runtime: every road-side
-// sensor runs as its own goroutine, and a fleet of vehicles moves through
-// the grid concurrently while dispatchers query their positions. This
-// exercises the message-passing realization of MOT (one goroutine per
-// sensor, operations as messages) rather than the metered sequential
-// engine.
+// Vehicular tracking on the live distributed runtime: a fleet of vehicles
+// moves through a grid of road-side sensors concurrently while
+// dispatchers query their positions. This exercises the message-passing
+// realization of MOT (operations walk station to station on the caller's
+// goroutine as per-hop messages between sensors) rather than the metered
+// sequential engine.
 package main
 
 import (
@@ -72,7 +72,7 @@ func main() {
 			correct++
 		}
 	}
-	fmt.Printf("fleet of %d vehicles, %d moves each, tracked across %d sensor goroutines\n",
+	fmt.Printf("fleet of %d vehicles, %d moves each, tracked across %d sensors\n",
 		fleet, trips, g.N())
 	fmt.Printf("final roll call: %d/%d located correctly\n", correct, fleet)
 	fmt.Printf("total message distance: %.0f (%.1f per maintenance operation)\n",

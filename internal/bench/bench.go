@@ -1,10 +1,11 @@
 // Package bench runs the substrate and harness benchmark suite behind
 // `make bench-json` / `motsim -benchjson` and renders it as a
-// machine-readable JSON artifact (BENCH_10.json) so CI can track the
-// perf trajectory release over release. Rows marked Pinned are enforced
-// by the regression gate (internal/bench/diff behind `make bench-gate`):
-// >15% ns/op growth or any allocs/op growth against the committed
-// baseline fails CI.
+// machine-readable JSON artifact (BENCH_15.json; earlier baselines such
+// as BENCH_10.json stay committed as trajectory points) so CI can track
+// the perf trajectory release over release. Rows marked Pinned are
+// enforced by the regression gate (internal/bench/diff behind
+// `make bench-gate`): >15% ns/op growth or any allocs/op growth against
+// the committed baseline fails CI.
 //
 // The suite pins the claims the frozen-metric work makes: the frozen
 // Dist path is allocation-free and much cheaper than the lazy
@@ -70,6 +71,7 @@ type Report struct {
 	GoOS       string   `json:"goos"`
 	GoArch     string   `json:"goarch"`
 	GoMaxProcs int      `json:"gomaxprocs"`
+	NumCPU     int      `json:"num_cpu"`
 	Benchmarks []Result `json:"benchmarks"`
 }
 
@@ -316,7 +318,7 @@ func liveNilSink() Result {
 	return res
 }
 
-// runtimeOps measures one Move+Query round trip on the goroutine
+// runtimeOps measures one Move+Query round trip on the message-passing
 // runtime over an 8×8 grid, with live telemetry off (nil sink) or on —
 // the second half of the overhead contract: live-on must stay within
 // 10% ns/op of live-off. Run() stamps the measured overhead_pct onto
@@ -473,6 +475,7 @@ func Run() *Report {
 		GoOS:       runtime.GOOS,
 		GoArch:     runtime.GOARCH,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
 		Benchmarks: benchmarks,
 	}
 }

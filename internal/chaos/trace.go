@@ -50,7 +50,7 @@ func (e Event) String() string {
 }
 
 // Trace accumulates fault events. It is safe for concurrent use (the
-// goroutine runtime records from many node loops); Render sorts by
+// runtime records from many client goroutines); Render sorts by
 // logical identity, so the rendered trace is deterministic even when the
 // recording order is not.
 type Trace struct {

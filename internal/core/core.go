@@ -7,8 +7,9 @@
 // Algorithm 1 lives here once, as the per-station Handler (handler.go).
 // Directory drives it one operation at a time (the paper's "one by one
 // case", §4.1.1); the discrete-event simulator in internal/sim drives the
-// same handler for the concurrent case, and the goroutine runtime in
-// internal/runtime drives it across node inboxes.
+// same handler for the concurrent case, and the message-passing runtime in
+// internal/runtime drives it with operations that walk station to station
+// on the caller's goroutine.
 package core
 
 import (

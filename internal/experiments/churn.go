@@ -61,9 +61,9 @@ type ChurnConfig struct {
 	// oracle instead of the exact metric — the only affordable substrate
 	// at the 10k scale cell.
 	UseOracle bool
-	// DisableRuntime skips the goroutine-runtime crash replay (used at
-	// scale, where spinning up one goroutine per sensor per schedule
-	// dominates the measurement).
+	// DisableRuntime skips the message-passing runtime's crash replay, so
+	// the 10k churn cell and the churn/64-repair bench row time the
+	// repair engine against the rebuild baseline and nothing else.
 	DisableRuntime bool
 	// DisableSubstrateCache makes every schedule rebuild its own grid and
 	// metric instead of sharing the substrate cache. The churn engines
@@ -430,10 +430,11 @@ func issueOp(dir *core.Directory, op churnOp) error {
 	return fmt.Errorf("experiments: unknown churn op %q", op.kind)
 }
 
-// replayChurnOnRuntime replays the recorded event stream on the goroutine
-// runtime with explicit crashes. The runtime's overlay is static — it has
-// no incremental repair — so operations whose trails route through downed
-// sensors exhaust their retry budget and fail with *chaos.DeliveryError.
+// replayChurnOnRuntime replays the recorded event stream on the
+// message-passing runtime with explicit crashes. The runtime's overlay is
+// static — it has no incremental repair — so operations whose trails
+// route through downed sensors exhaust their retry budget and fail with
+// *chaos.DeliveryError.
 // A failed move is rolled back (the object stays at its previous proxy,
 // its trail re-stamped there), so the object's later operations succeed
 // again once their route is up. Every failed operation counts as lost:

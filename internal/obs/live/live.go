@@ -115,26 +115,26 @@ func (r *Recorder) Label() string {
 // Stamp is an opaque start-of-operation mark. The zero Stamp (and any
 // Stamp from a nil Recorder) makes Observe a no-op.
 type Stamp struct {
-	t time.Time
+	off time.Duration // monotonic offset from the recorder's start; 0 is no stamp
 }
 
-// Start reads the wall clock for an operation about to run. On a nil
-// recorder it returns the zero Stamp without touching the clock.
+// Start reads the monotonic clock for an operation about to run. On a
+// nil recorder it returns the zero Stamp without touching the clock.
 func (r *Recorder) Start() Stamp {
 	if r == nil {
 		return Stamp{}
 	}
-	return Stamp{t: time.Now()}
+	return Stamp{off: max(time.Since(r.start), 1)}
 }
 
 // Observe closes the measurement opened by Start: it records the
-// elapsed wall time into class c's histogram, counts err, and offers
-// the span to the sample reservoir.
+// elapsed time into class c's histogram, counts err, and offers the
+// span to the sample reservoir.
 func (r *Recorder) Observe(c Class, st Stamp, object int, err error) {
-	if r == nil || st.t.IsZero() {
+	if r == nil || st.off == 0 {
 		return
 	}
-	r.observe(c, time.Since(st.t), st.t, object, err)
+	r.observe(c, time.Since(r.start)-st.off, r.start.Add(st.off), object, err)
 }
 
 // ObserveDuration records a span of known duration d (tests and

@@ -24,9 +24,9 @@ func newChaosTracker(t testing.TB, w, h int, cfg chaos.Config) (*Tracker, *graph
 	return tr, g
 }
 
-// Regression: Stop used to panic on the second call (double close of the
-// quit channel). It must now be idempotent — twice sequentially and from
-// many goroutines at once under -race.
+// Regression: Stop used to panic on the second call (double close of a
+// channel). It must stay idempotent — twice sequentially and from many
+// goroutines at once under -race.
 func TestRaceDoubleStop(t *testing.T) {
 	tr, _ := newTracker(t, 4, 4)
 	tr.Stop()

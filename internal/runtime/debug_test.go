@@ -252,7 +252,7 @@ func TestRaceDebugCloseDuringStop(t *testing.T) {
 // the bench harness: the same op sequence with live telemetry on must
 // not blow past the live-off time. The precise ≤10% pin lives in
 // internal/bench (runtime/ops-live-on vs -off, recorded in
-// BENCH_10.json); here we take min-of-3 trials and assert a loose 1.5×
+// BENCH_15.json); here we take min-of-3 trials and assert a loose 1.5×
 // ceiling so scheduler noise on 1-CPU CI can't flake the tier.
 func TestLiveOverheadBudget(t *testing.T) {
 	if testing.Short() {

@@ -1,6 +1,7 @@
 package runtime
 
-// Observability hooks for the live-goroutine substrate. The runtime has
+// Observability hooks for the message-passing runtime, whose operations
+// walk station to station on their callers' goroutines. The runtime has
 // no clock at all (motlint's walltime rule bans wall time, and sleeping
 // would break determinism), so the logical clock is a cost clock: a span
 // opens at the current accumulated clock value and the clock advances by
@@ -42,5 +43,5 @@ func (t *Tracker) obsEnd(op *opState) {
 func (t *Tracker) ObserveLoad() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.h.ObserveLoad(t.obs, len(t.inboxes))
+	t.h.ObserveLoad(t.obs, t.n)
 }

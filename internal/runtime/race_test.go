@@ -10,10 +10,10 @@ import (
 	"repro/internal/graph"
 )
 
-// Race-detector stress for the goroutine tracker: many client goroutines
-// publish, move, and query distinct objects concurrently while the sensor
-// node goroutines route the operations, and readers poll Location and
-// Cost the whole time. Run under `go test -race` (the `make check` smoke
+// Race-detector stress for the tracker: many client goroutines publish,
+// move, and query distinct objects concurrently, each operation walking
+// station to station on its client's goroutine, and readers poll Location
+// and Cost the whole time. Run under `go test -race` (the `make check` smoke
 // tier does); it asserts the final tracked locations match the ground
 // truth each client computed locally.
 func TestRaceTrackerMovesAndQueries(t *testing.T) {

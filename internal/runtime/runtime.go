@@ -1,17 +1,19 @@
 // Package runtime is a live distributed realization of the MOT algorithm:
-// every sensor node runs as its own goroutine with a message inbox, and
 // publish / maintenance / query operations travel station to station
-// through the network (costs accounted as shortest-path distances), as the
-// message-passing protocol the paper describes (footnote 2 of §3: the
-// iterative pseudocode "can be immediately converted to a message-passing
-// based distributed algorithm").
+// through the network as per-hop messages (costs accounted as
+// shortest-path distances), as the message-passing protocol the paper
+// describes (footnote 2 of §3: the iterative pseudocode "can be
+// immediately converted to a message-passing based distributed
+// algorithm").
 //
 // The tracker drives core's station handler, the one Algorithm 1 the
-// measured reproductions (internal/core, internal/sim) run: a node
-// goroutine runs each visit under one store lock and hands the message to
-// the next station's host. A failed operation is rolled back. Operations
-// can be observed via Options.Obs (spans and per-node metrics on a cost
-// clock, see obs.go) and the opt-in debug HTTP endpoint (debug.go).
+// measured reproductions (internal/core, internal/sim) run. Operations
+// walk station to station on the caller's goroutine: each visit runs
+// under one store lock, then the message is sent to the next station's
+// host, with per-attempt cost, fault decision and hop number. A failed
+// operation is rolled back. Operations can be observed via Options.Obs
+// (spans and per-node metrics on a cost clock, see obs.go) and the opt-in
+// debug HTTP endpoint (debug.go).
 package runtime
 
 import (
@@ -26,19 +28,17 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/live"
 	"repro/internal/overlay"
-	"repro/internal/runtime/track"
 )
 
 // objStripes is the size of the per-object lock table: the operations of
 // one object serialize on the stripe its ID selects.
 const objStripes = 1024
 
-// opState is one operation in flight; reply says how its walk ended.
+// opState is one operation in flight.
 type opState struct {
-	msg   core.Msg
-	id    uint64 // operation number; with hop it keys fault decisions
-	hop   int
-	reply chan error
+	msg core.Msg
+	id  uint64 // operation number; with hop it keys fault decisions
+	hop int
 }
 
 // Client-fault classification of operation errors, so front ends
@@ -51,17 +51,16 @@ var (
 	// ErrNotPublished reports a Move or Query of an object the tracker
 	// has never seen (or that was unpublished).
 	ErrNotPublished = errors.New("not published")
+	// ErrStopped reports an operation issued after Stop.
+	ErrStopped = errors.New("tracker stopped")
 )
 
-// Tracker runs the distributed MOT protocol over an overlay, one goroutine
-// per sensor node.
+// Tracker runs the distributed MOT protocol over an overlay. Each
+// operation walks station to station on the goroutine that called it.
 type Tracker struct {
-	m graph.DistanceOracle
-
-	inboxes []chan *opState
-	quit    chan struct{}
-	stopped sync.Once
-	loops   track.Group
+	m       graph.DistanceOracle
+	n       int // sensor nodes
+	stopped atomic.Bool
 
 	// mu is the store lock: every station visit runs under it.
 	mu  sync.Mutex
@@ -121,18 +120,17 @@ type Options struct {
 	Live *live.Recorder
 }
 
-// New starts a tracker: one goroutine per sensor node of the overlay's
-// graph. At most one Options may be given; omitting it is the zero
-// value. Call Stop when done.
+// New returns a tracker over the overlay's graph; it starts no
+// goroutine. At most one Options may be given; omitting it is the zero
+// value.
 func New(g *graph.Graph, ov overlay.Overlay, opt ...Options) *Tracker {
 	var o Options
 	if len(opt) > 0 {
 		o = opt[0]
 	}
-	t := &Tracker{
+	return &Tracker{
 		m:       ov.Metric(),
-		inboxes: make([]chan *opState, g.N()),
-		quit:    make(chan struct{}),
+		n:       g.N(),
 		h:       core.NewHandler(ov, core.Config{}),
 		loc:     make(map[core.ObjectID]graph.NodeID),
 		inj:     o.Chaos,
@@ -140,23 +138,12 @@ func New(g *graph.Graph, ov overlay.Overlay, opt ...Options) *Tracker {
 		obs:     o.Obs,
 		live:    o.Live,
 	}
-	for i := range t.inboxes {
-		t.inboxes[i] = make(chan *opState, 256)
-	}
-	for i := 0; i < g.N(); i++ {
-		id := graph.NodeID(i)
-		t.loops.Go(func() { t.nodeLoop(id) })
-	}
-	return t
 }
 
-// Stop shuts down all node goroutines. Pending operations are abandoned.
-// Stop is idempotent and safe to call concurrently; every call blocks
-// until the loops have drained.
-func (t *Tracker) Stop() {
-	t.stopped.Do(func() { close(t.quit) })
-	t.loops.Wait()
-}
+// Stop marks the tracker stopped: operations issued afterwards fail with
+// ErrStopped, while operations already walking finish. Stop is
+// idempotent and safe to call concurrently.
+func (t *Tracker) Stop() { t.stopped.Store(true) }
 
 // Crash marks node n as down: messages addressed to it are dropped (and
 // retried by senders) until Recover. Out-of-range nodes are ignored.
@@ -244,22 +231,29 @@ func (t *Tracker) CheckInvariants() error {
 func (t *Tracker) LoadByNode() []int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.h.LoadByNode(len(t.inboxes))
+	return t.h.LoadByNode(t.n)
 }
 
-func (t *Tracker) objLock(o core.ObjectID) *sync.Mutex {
-	return &t.objMu[uint64(o)%objStripes]
+// lock takes o's stripe for one operation, or fails once the tracker is
+// stopped.
+func (t *Tracker) lock(o core.ObjectID) (*sync.Mutex, error) {
+	if t.stopped.Load() {
+		return nil, fmt.Errorf("runtime: object %d: %w", o, ErrStopped)
+	}
+	mu := &t.objMu[uint64(o)%objStripes]
+	mu.Lock()
+	return mu, nil
 }
 
-// send routes op's message on to the next station the handler named,
+// send moves op's message on to the next station the handler named,
 // accounting the shortest-path distance (the cost model of §1.1). With a
 // fault injector installed, each attempt's fate is a pure hash of the
 // message identity (op, hop, attempt): drops are retried after simulated
 // backoff (accounted, never slept) until MaxAttempts, then the operation
-// unblocks with a typed *chaos.DeliveryError instead of hanging.
+// fails with a typed *chaos.DeliveryError instead of hanging.
 //
 //motlint:hotpath
-func (t *Tracker) send(op *opState) {
+func (t *Tracker) send(op *opState) error {
 	m := &op.msg
 	dest := m.Next.Host
 	d := t.m.Dist(m.At.Host, dest)
@@ -272,8 +266,8 @@ func (t *Tracker) send(op *opState) {
 		m.Cost += d
 		t.obs.Attempt(m.Span, int(dest), d, attempt, m.Now)
 		if t.inj == nil {
-			t.deliver(op)
-			return
+			m.At = m.Next
+			return nil
 		}
 		var drop bool
 		var extra float64
@@ -287,69 +281,20 @@ func (t *Tracker) send(op *opState) {
 			if extra > 0 {
 				t.addDelay(extra)
 			}
-			t.deliver(op)
-			return
+			m.At = m.Next
+			return nil
 		}
 		if attempt >= t.inj.MaxAttempts() {
-			op.reply <- t.inj.Fail(op.id, hop, attempt, dest, -1)
-			return
+			return t.inj.Fail(op.id, hop, attempt, dest, -1)
 		}
 		t.addDelay(d + t.inj.Backoff(attempt))
 	}
 }
 
-// deliver hands op's message to the inbox of its next station's host.
-//
-//motlint:hotpath
-func (t *Tracker) deliver(op *opState) {
-	op.msg.At = op.msg.Next
-	select {
-	case t.inboxes[op.msg.At.Host] <- op:
-	case <-t.quit:
-	}
-}
-
-// nodeLoop is one sensor's event loop.
-//
-//motlint:hotpath
-func (t *Tracker) nodeLoop(id graph.NodeID) {
-	for {
-		select {
-		case <-t.quit:
-			return
-		case op := <-t.inboxes[id]:
-			t.handle(id, op)
-		}
-	}
-}
-
-// handle runs op's visit to a station hosted at n, then forwards or replies.
-//
-//motlint:hotpath
-func (t *Tracker) handle(n graph.NodeID, op *opState) {
-	t.obs.Arrive(op.msg.Span, op.msg.At.Level, int(n), op.msg.Now)
-	t.mu.Lock()
-	v := t.h.Step(&op.msg)
-	for v == core.LevelDone {
-		v = t.h.Step(&op.msg)
-	}
-	t.mu.Unlock()
-	switch v {
-	case core.Forward:
-		t.send(op)
-	case core.Done:
-		op.reply <- nil
-	default:
-		op.reply <- fmt.Errorf("runtime: object %d: %v at %v", op.msg.Obj, v, op.msg.At)
-	}
-}
-
-// run starts op at its origin station — that first delivery is not a
-// hop — and blocks until its walk ends.
+// run walks op inside its obs span; a failed walk marks the span aborted.
 func (t *Tracker) run(kind string, op *opState) error {
 	t.obsBegin(kind, op)
-	t.deliver(op)
-	err := <-op.reply
+	err := t.walk(op)
 	if err != nil {
 		op.msg.Span.Event(obs.EvAbort, -1, int(op.msg.Owner), 0, op.msg.Now)
 	}
@@ -357,11 +302,38 @@ func (t *Tracker) run(kind string, op *opState) error {
 	return err
 }
 
+// walk runs op from its origin station — that first delivery is not a
+// hop — on the caller's goroutine: one visit under the store lock, then a
+// send to the next station, until the handler stops.
+//
+//motlint:hotpath
+func (t *Tracker) walk(op *opState) error {
+	m := &op.msg
+	for {
+		t.obs.Arrive(m.Span, m.At.Level, int(m.At.Host), m.Now)
+		t.mu.Lock()
+		v := t.h.Step(m)
+		for v == core.LevelDone {
+			v = t.h.Step(m)
+		}
+		t.mu.Unlock()
+		switch v {
+		case core.Forward:
+			if err := t.send(op); err != nil {
+				return err
+			}
+		case core.Done:
+			return nil
+		default:
+			return fmt.Errorf("runtime: object %d: %v at %v", m.Obj, v, m.At)
+		}
+	}
+}
+
 // newOp numbers a new operation, which also versions its stamps.
-func (t *Tracker) newOp(kind core.MsgKind, o core.ObjectID, at graph.NodeID) *opState {
-	op := &opState{id: t.opSeq.Add(1), reply: make(chan error, 1)}
-	op.msg = t.h.NewMsg(kind, o, op.id, at)
-	return op
+func (t *Tracker) newOp(kind core.MsgKind, o core.ObjectID, at graph.NodeID) opState {
+	id := t.opSeq.Add(1)
+	return opState{msg: t.h.NewMsg(kind, o, id, at), id: id}
 }
 
 // rollback undoes o's failed operation in place: core's wipe, then (keep)
@@ -376,7 +348,7 @@ func (t *Tracker) rollback(o core.ObjectID, ver uint64, at graph.NodeID, keep bo
 	}
 }
 
-// Publish introduces o at sensor node at and blocks until the detection
+// Publish introduces o at sensor node at and returns once the detection
 // trail reaches the root. A failed publish has no effect.
 func (t *Tracker) Publish(o core.ObjectID, at graph.NodeID) error {
 	st := t.live.Start()
@@ -386,13 +358,16 @@ func (t *Tracker) Publish(o core.ObjectID, at graph.NodeID) error {
 }
 
 func (t *Tracker) publish(o core.ObjectID, at graph.NodeID) error {
-	mu := t.objLock(o)
-	mu.Lock()
+	mu, err := t.lock(o)
+	if err != nil {
+		return err
+	}
 	defer mu.Unlock()
 	if _, ok := t.Location(o); ok {
 		return fmt.Errorf("runtime: object %d %w", o, ErrAlreadyPublished)
 	}
-	if err := t.run(obs.OpPublish, t.newOp(core.PublishMsg, o, at)); err != nil {
+	op := t.newOp(core.PublishMsg, o, at)
+	if err := t.run(obs.OpPublish, &op); err != nil {
 		t.rollback(o, 0, at, false)
 		return err
 	}
@@ -402,11 +377,12 @@ func (t *Tracker) publish(o core.ObjectID, at graph.NodeID) error {
 	return nil
 }
 
-// Move reports that o moved to sensor node to; it blocks until the
-// maintenance operation (insert and delete) completes. Moves of the same
-// object serialize (the one-by-one discipline); different objects proceed
-// concurrently on the node goroutines. A failed move has no effect: the
-// object stays at its previous proxy, with its trail intact.
+// Move reports that o moved to sensor node to; it returns when the
+// maintenance operation (insert and delete) has walked to completion on
+// the caller's goroutine. Moves of the same object serialize (the
+// one-by-one discipline); operations on different objects interleave
+// visit by visit on their callers' goroutines. A failed move has no
+// effect: the object stays at its previous proxy, with its trail intact.
 func (t *Tracker) Move(o core.ObjectID, to graph.NodeID) error {
 	st := t.live.Start()
 	err := t.move(o, to)
@@ -415,8 +391,10 @@ func (t *Tracker) Move(o core.ObjectID, to graph.NodeID) error {
 }
 
 func (t *Tracker) move(o core.ObjectID, to graph.NodeID) error {
-	mu := t.objLock(o)
-	mu.Lock()
+	mu, err := t.lock(o)
+	if err != nil {
+		return err
+	}
 	defer mu.Unlock()
 	from, ok := t.Location(o)
 	if !ok {
@@ -426,7 +404,7 @@ func (t *Tracker) move(o core.ObjectID, to graph.NodeID) error {
 		return nil
 	}
 	op := t.newOp(core.MoveMsg, o, to)
-	err := t.run(obs.OpMove, op)
+	err = t.run(obs.OpMove, &op)
 	if err == nil && op.msg.At.Host != from {
 		err = fmt.Errorf("runtime: delete for object %d ended at %d, expected old proxy %d", o, op.msg.At.Host, from)
 	}
@@ -452,8 +430,10 @@ func (t *Tracker) Query(from graph.NodeID, o core.ObjectID) (graph.NodeID, float
 func (t *Tracker) query(from graph.NodeID, o core.ObjectID) (graph.NodeID, float64, error) {
 	// Queries share the object's serialization lock so they never observe
 	// a half-updated trail (the runtime's one-by-one discipline).
-	mu := t.objLock(o)
-	mu.Lock()
+	mu, err := t.lock(o)
+	if err != nil {
+		return graph.Undefined, 0, err
+	}
 	defer mu.Unlock()
 	proxy, ok := t.Location(o)
 	if !ok {
@@ -461,7 +441,7 @@ func (t *Tracker) query(from graph.NodeID, o core.ObjectID) (graph.NodeID, float
 	}
 	op := t.newOp(core.QueryMsg, o, from)
 	op.msg.Truth = proxy
-	if err := t.run(obs.OpQuery, op); err != nil {
+	if err := t.run(obs.OpQuery, &op); err != nil {
 		return graph.Undefined, 0, err
 	}
 	return op.msg.At.Host, op.msg.Cost, nil

@@ -1,9 +1,12 @@
 package runtime
 
 import (
+	"errors"
 	"math/rand"
+	goruntime "runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -93,9 +96,8 @@ func TestMoveNoop(t *testing.T) {
 	}
 }
 
-// Many objects tracked concurrently from multiple client goroutines — the
-// distributed node loops must handle interleaved traffic for different
-// objects without corruption.
+// Many objects tracked concurrently from multiple client goroutines — walks
+// of different objects interleave visit by visit without corruption.
 func TestConcurrentObjectsParallelClients(t *testing.T) {
 	tr, g := newTracker(t, 8, 8)
 	const objs = 12
@@ -175,4 +177,165 @@ func TestStopTerminates(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.Stop() // must return promptly; Cleanup-free direct call
+}
+
+// TestStopFailsLaterOps: an operation issued after Stop returns
+// ErrStopped instead of blocking, and leaves its object's lock stripe
+// free for the next one.
+func TestStopFailsLaterOps(t *testing.T) {
+	tr, _ := newTracker(t, 4, 4)
+	if err := tr.Publish(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	tr.Stop()
+	done := make(chan error, 1)
+	go func() {
+		for _, op := range []func() error{
+			func() error { return tr.Move(1, 5) },
+			func() error { return tr.Move(1+objStripes, 5) }, // same stripe
+			func() error { _, _, err := tr.Query(3, 1); return err },
+			func() error { return tr.Publish(2, 0) },
+		} {
+			if err := op(); !errors.Is(err, ErrStopped) {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("operation after Stop: got %v, want ErrStopped", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("operation after Stop still blocked after 2s")
+	}
+	if v, ok := tr.Location(1); !ok || v != 0 {
+		t.Fatalf("Location after Stop = (%d, %v), want (0, true)", v, ok)
+	}
+}
+
+// TestStopWhileClientsRun: Stop lands while clients publish, move and
+// query. Every call returns nil or ErrStopped, none hangs, and the
+// directory stays consistent.
+func TestStopWhileClientsRun(t *testing.T) {
+	tr, g := newTracker(t, 6, 6)
+	const objs = 8
+	errCh := make(chan error, objs)
+	var clients, published sync.WaitGroup
+	published.Add(objs)
+	for o := 0; o < objs; o++ {
+		clients.Add(1)
+		go func(o int) {
+			defer clients.Done()
+			rng := rand.New(rand.NewSource(int64(300 + o)))
+			check := func(err error) bool {
+				if err != nil && !errors.Is(err, ErrStopped) {
+					errCh <- err
+					return false
+				}
+				return true
+			}
+			ok := check(tr.Publish(core.ObjectID(o), graph.NodeID(rng.Intn(g.N()))))
+			published.Done()
+			if !ok {
+				return
+			}
+			for i := 0; i < 200; i++ {
+				if !check(tr.Move(core.ObjectID(o), graph.NodeID(rng.Intn(g.N())))) {
+					return
+				}
+				if _, _, err := tr.Query(graph.NodeID(rng.Intn(g.N())), core.ObjectID(o)); !check(err) {
+					return
+				}
+			}
+		}(o)
+	}
+	published.Wait() // Stop lands while the clients move and query
+	tr.Stop()
+	done := make(chan struct{})
+	go func() {
+		clients.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("clients still blocked 10s after Stop")
+	}
+	close(errCh)
+	for err := range errCh {
+		t.Fatal(err)
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNewStartsNoGoroutines pins the transport's footprint: a tracker
+// runs its operations on the callers' goroutines, so neither New nor
+// its operations start any.
+func TestNewStartsNoGoroutines(t *testing.T) {
+	g := graph.Grid(64, 64)
+	hs, err := hier.Build(g, graph.NewOracle(g, graph.OracleConfig{Seed: 1}), hier.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := goruntime.NumGoroutine()
+	tr := New(g, hs)
+	defer tr.Stop()
+	if err := tr.Publish(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	n := g.N()
+	for i := 0; i < 50; i++ {
+		if err := tr.Move(1, graph.NodeID((i*61+7)%n)); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := tr.Query(graph.NodeID((i*97)%n), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if grown := goruntime.NumGoroutine() - before; grown >= 10 {
+		t.Fatalf("New and 100 operations raised the goroutine count by %d, want < 10", grown)
+	}
+}
+
+// TestTrackerOpsZeroAllocs: once the walked detection paths are cached
+// and their stations' slots exist, a Move+Query round trip allocates
+// nothing (the operation lives on the caller's stack).
+func TestTrackerOpsZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; the pin runs in the plain tier")
+	}
+	g := graph.Grid(32, 32)
+	m := graph.NewMetric(g)
+	m.Precompute(0)
+	hs, err := hier.Build(g, m, hier.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := New(g, hs)
+	defer tr.Stop()
+	if err := tr.Publish(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	n := g.N()
+	i := 0
+	op := func() {
+		if err := tr.Move(1, graph.NodeID(1+i%(n-2))); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := tr.Query(graph.NodeID(n-1), 1); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for i < n {
+		op() // warm every DPath and station slot the loop touches
+	}
+	if allocs := testing.AllocsPerRun(200, op); allocs != 0 {
+		t.Fatalf("Move+Query allocates %v per round trip, want 0", allocs)
+	}
 }

@@ -1,7 +1,7 @@
 // Package track is the one place in library code allowed to launch
-// goroutines. Every concurrent helper in the module (the distributed
-// tracker's node loops, the metric precomputation pool, the parallel MIS
-// rounds, the sweep-cell worker pool) starts its goroutines through a
+// goroutines. Every concurrent helper in the module (the debug and
+// serving loops, the metric precomputation pool, the parallel MIS rounds,
+// the sweep-cell worker pool) starts its goroutines through a
 // Group, so the -race smoke tier can always drain them: a Group is never
 // abandoned — its owner calls Wait (or Stop for long-lived loops) before
 // returning.

@@ -39,7 +39,7 @@ func soakSecs(t *testing.T) int {
 // soakP99SLO is the drain-time request-p99 ceiling. Deliberately loose —
 // the soak runs on arbitrary CI hardware next to a chaos drill — it
 // exists to catch collapse (seconds-long tails from a stuck queue), not
-// to pin performance; BENCH_10.json's serve rows do that.
+// to pin performance; BENCH_15.json's serve rows do that.
 const soakP99SLO = 500 * time.Millisecond
 
 // TestSoakServe is the `make soak` tier: sustained mixed load plus a

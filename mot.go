@@ -17,7 +17,8 @@
 //     (Kung & Vlah) and Z-DAT with and without shortcuts (Lin et al.) —
 //     on a shared message-pruning tree engine;
 //   - a discrete-event simulator for concurrent executions, a live
-//     goroutine-per-node runtime, and harnesses that regenerate every
+//     message-passing runtime whose operations walk station to station
+//     on the caller's goroutine, and harnesses that regenerate every
 //     figure of the paper's evaluation (Figs. 4–15).
 //
 // Quickstart:

@@ -2,6 +2,7 @@ package mot
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -178,6 +179,10 @@ func TestDistributedFacade(t *testing.T) {
 	}
 	if loc, ok := d.Location(1); !ok || loc != 1 {
 		t.Fatalf("location %d %t", loc, ok)
+	}
+	d.Close()
+	if err := d.Move(1, 2); !errors.Is(err, ErrStopped) {
+		t.Fatalf("move after Close: %v, want ErrStopped", err)
 	}
 }
 
