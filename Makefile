@@ -32,9 +32,9 @@
 #                  ~60s of sustained mixed HTTP load plus a rolling chaos
 #                  drill against a live motserve server, then a graceful
 #                  drain with the service invariants asserted at
-#                  quiescence (no lost acknowledged moves, empty queues,
-#                  request p99 under the collapse SLO); MOT_SOAK_SECS
-#                  shortens it locally
+#                  quiescence (no lost acknowledged moves, no operation
+#                  still in flight, request p99 under the collapse SLO);
+#                  MOT_SOAK_SECS shortens it (CI runs 15s on every PR)
 #   make bench-json — the perf-trajectory suite (frozen vs lazy metric
 #                  reads, all-pairs precompute, substrate-cache on/off
 #                  sweep throughput, oracle build/read vs exact, a 10k

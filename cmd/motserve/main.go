@@ -21,10 +21,11 @@
 //	curl localhost:8080/debug/serve                      # aggregate
 //	curl localhost:8080/debug/shard/0/debug/live         # one shard
 //
-// Backpressure: a full per-shard move queue (-queue) or a saturated
-// inflight window (-inflight) answers 429 with Retry-After: 1; clients
-// should back off and retry. SIGINT/SIGTERM drains gracefully — every
-// move acknowledged with a 200 is applied before the process exits.
+// Every operation runs on its handler's goroutine under its shard's
+// inflight window. Backpressure: a saturated window (-inflight) answers
+// 429 with Retry-After: 1; clients should back off and retry.
+// SIGINT/SIGTERM drains gracefully — every move acknowledged with a 200
+// is applied before the process exits.
 package main
 
 import (
@@ -55,8 +56,7 @@ func run(argv []string) int {
 	addr := fs.String("addr", ":8080", "listen address")
 	shards := fs.Int("shards", 4, "tracker shards (object space partitions)")
 	nodes := fs.Int("nodes", 256, "sensor network size (near-square grid)")
-	queue := fs.Int("queue", 1024, "per-shard pending-move queue bound")
-	inflight := fs.Int("inflight", 256, "per-shard synchronous-op window")
+	inflight := fs.Int("inflight", 256, "per-shard window of concurrent operations")
 	seed := fs.Int64("seed", 1, "overlay/telemetry seed")
 	chaosAdmin := fs.Bool("chaos", false, "enable /v1/fail and /v1/recover fault drills")
 	if err := fs.Parse(argv); err != nil {
@@ -67,12 +67,20 @@ func run(argv []string) int {
 		fs.Usage()
 		return 2
 	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"shards", *shards}, {"nodes", *nodes}, {"inflight", *inflight}} {
+		if f.v < 1 {
+			fmt.Fprintf(os.Stderr, "motserve: -%s %d: want at least 1\n", f.name, f.v)
+			return 2
+		}
+	}
 
 	s, err := serve.New(serve.Config{
 		Shards:     *shards,
 		Nodes:      *nodes,
 		Seed:       *seed,
-		QueueDepth: *queue,
 		Inflight:   *inflight,
 		ChaosAdmin: *chaosAdmin,
 	})

@@ -47,12 +47,6 @@ func NewDistributed(g *Graph, opt Options) (*Distributed, error) {
 	return &Distributed{tr: runtime.New(g, hs, runtime.Options{Chaos: inj, Obs: opt.Obs})}, nil
 }
 
-// ServeDebug starts the opt-in HTTP diagnostics endpoint (obs snapshot,
-// per-node load, expvar, pprof) on addr; "127.0.0.1:0" picks a free port.
-func (d *Distributed) ServeDebug(addr string) (*runtime.DebugServer, error) {
-	return d.tr.ServeDebug(addr)
-}
-
 // LoadByNode returns each sensor's stored DL and SDL entry count (a
 // consistent snapshot only with no operation in flight).
 func (d *Distributed) LoadByNode() []int { return d.tr.LoadByNode() }

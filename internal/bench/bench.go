@@ -21,11 +21,13 @@
 // repair engine's recovery cost a small ratio of the rebuild baseline's
 // — and the PR-9 live-telemetry overhead contract: live/nil-sink pins
 // the disabled fast path at 0 allocs/op, and runtime/ops-live-on vs
-// -off pins enabled overhead ≤10% ns/op on a runtime Move+Query round
+// -off measure enabled overhead against a ≤10% target, not met at the
+// current op cost (BENCH_15.json records 22.1%; the gate checks each
+// row's own ns/op, not the ratio), on a runtime Move+Query round
 // trip (the measured gap rides along as overhead_pct) — and the PR-10
 // serving rows: serve/ops-publish|move|query each pin one full HTTP
 // round trip through the sharded motserve front end (mux dispatch,
-// shard hash, batched move drain, ack) with ops_per_sec and the
+// shard hash, inflight window, tracker op, ack) with ops_per_sec and the
 // server-side p50/p99 riding along as extras.
 package bench
 
@@ -320,9 +322,9 @@ func liveNilSink() Result {
 
 // runtimeOps measures one Move+Query round trip on the message-passing
 // runtime over an 8×8 grid, with live telemetry off (nil sink) or on —
-// the second half of the overhead contract: live-on must stay within
-// 10% ns/op of live-off. Run() stamps the measured overhead_pct onto
-// the live-on row.
+// the second half of the overhead contract, whose target is live-on
+// within 10% ns/op of live-off (not met at the current op cost). Run()
+// stamps the measured overhead_pct onto the live-on row.
 func runtimeOps(name string, lrec *live.Recorder) Result {
 	g := graph.Grid(8, 8)
 	m := graph.NewMetric(g)
@@ -354,15 +356,15 @@ func runtimeOps(name string, lrec *live.Recorder) Result {
 
 // serveOps measures one full HTTP round trip of the named op class
 // against a live sharded serving front end: request encode, mux
-// dispatch, shard hash, the tracker op (through the batched drain loop
-// for moves, ack awaited), and response decode, serialized over a
-// keep-alive connection. Extra carries client-side ops_per_sec plus the
-// server-side p50/p99 for the class from the service-level recorder.
+// dispatch, shard hash, the tracker op on the handler's goroutine, and
+// response decode, serialized over a keep-alive connection. Extra
+// carries client-side ops_per_sec plus the server-side p50/p99 for the
+// class from the service-level recorder.
 //
 // The alloc columns are deliberately zeroed: testing.Benchmark counts
 // heap churn from every goroutine in the process, and here that spans
-// the HTTP client, the server's handlers, and the per-shard drain
-// loops, so allocs/op is scheduler noise rather than a per-op contract.
+// the HTTP client and the server's connection and handler goroutines,
+// so allocs/op is scheduler noise rather than a per-op contract.
 // The pin these rows enforce is ns/op (the gate's 15% band).
 func serveOps(class string) Result {
 	s, err := serve.New(serve.Config{Shards: 4, Nodes: 64, Seed: 1})

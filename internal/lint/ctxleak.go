@@ -11,7 +11,8 @@ import (
 // join before results are read) silently breaks.
 //
 //   - A Group held in a struct field may Wait anywhere in the package
-//     (ServeDebug launches, Close waits); no Wait at all is the finding.
+//     (motbench's server launches its log reader on start and waits in
+//     stop); no Wait at all is the finding.
 //   - A Group in a local variable must Wait in the same function. A
 //     deferred Wait always satisfies; otherwise a return statement
 //     between the first Go and the last Wait is a leak path.

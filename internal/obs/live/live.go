@@ -10,10 +10,10 @@
 // artifact: deterministic exporters (JSONL/CSV/Chrome traces, report
 // tables in their default shape) are sourced exclusively from
 // internal/obs, while live snapshots surface through diagnostics
-// channels only — the /debug/live endpoints, expvar, and stderr
-// summaries. This package is the single library package on motlint's
-// walltime allowlist; a time.Now anywhere else in library code is
-// still a lint error.
+// channels only — the /debug/live endpoints and stderr summaries. This
+// package is the single library package on motlint's walltime
+// allowlist; a time.Now anywhere else in library code is still a lint
+// error.
 //
 // Overhead contract. A nil *Recorder is a fully disabled sink: every
 // method nil-checks the receiver and returns immediately, so
@@ -21,11 +21,13 @@
 // live telemetry is off (pinned by TestNilLiveRecorderZeroAllocs and
 // the live/nil-sink bench). Enabled, an observation is two clock reads
 // plus a handful of atomic adds and a short mutex hold on the sampler
-// — budgeted at ≤10% of a runtime tracker op and measured by the
-// runtime/ops-live-* benchmarks in internal/bench.
+// — targeted at ≤10% of a runtime tracker op and measured by the
+// runtime/ops-live-* benchmarks in internal/bench (not met at the
+// current op cost: BENCH_15.json records 22.1%).
 package live
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"sync/atomic"
@@ -82,10 +84,6 @@ type Recorder struct {
 	hists [NumClasses]histogram
 	errs  [NumClasses]atomic.Int64
 	samp  reservoir
-
-	// published is the most recent periodic snapshot (see Publisher);
-	// Latest falls back to a fresh Snapshot when none was published.
-	published atomic.Pointer[Snapshot]
 }
 
 // New returns an enabled live recorder labeled label.
@@ -191,7 +189,7 @@ type OpSnapshot struct {
 
 // Snapshot is a point-in-time copy of the recorder: per-class
 // distributions, the all-classes aggregate, and the sampler's
-// occupancy. It is what the /debug/live endpoint and expvar serve.
+// occupancy. It is what the /debug/live endpoint serves.
 type Snapshot struct {
 	Label    string       `json:"label"`
 	UptimeNs int64        `json:"uptime_ns"`
@@ -279,4 +277,10 @@ func (r *Recorder) WriteSummary(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// MarshalSnapshotJSON renders a snapshot as indented JSON — shared by
+// the /debug/live handler and tests so both serve the same bytes.
+func MarshalSnapshotJSON(s Snapshot) ([]byte, error) {
+	return json.MarshalIndent(s, "", "  ")
 }

@@ -3,7 +3,6 @@ package live
 import (
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"strings"
 	"testing"
@@ -152,12 +151,8 @@ func TestNilRecorderSafeAndZeroAlloc(t *testing.T) {
 	}
 	r.Observe(ClassMove, r.Start(), 1, errors.New("x"))
 	r.ObserveDuration(ClassQuery, time.Second, 1, nil)
-	r.Publish()
 	if s := r.Snapshot(); s.Total.Count != 0 {
 		t.Fatal("nil snapshot non-empty")
-	}
-	if s := r.Latest(); s.Label != "" {
-		t.Fatal("nil latest non-empty")
 	}
 	if r.Samples() != nil {
 		t.Fatal("nil samples non-nil")
@@ -168,8 +163,6 @@ func TestNilRecorderSafeAndZeroAlloc(t *testing.T) {
 	if err := r.WriteSummary(nil); err != nil {
 		t.Fatal(err)
 	}
-	var p *Publisher
-	p.Stop()
 
 	if allocs := testing.AllocsPerRun(100, func() {
 		st := r.Start()
@@ -259,71 +252,6 @@ func TestObserveStampPath(t *testing.T) {
 	}
 	if q.MaxNs < int64(time.Millisecond) {
 		t.Fatalf("measured %dns for a 1ms sleep", q.MaxNs)
-	}
-}
-
-func TestPublishAndLatest(t *testing.T) {
-	r := New("pub", Config{})
-	r.ObserveDuration(ClassMove, time.Microsecond, 0, nil)
-	if got := r.Latest().Total.Count; got != 1 {
-		t.Fatalf("Latest before any Publish should fall back live: count=%d", got)
-	}
-	r.Publish()
-	r.ObserveDuration(ClassMove, time.Microsecond, 1, nil)
-	if got := r.Latest().Total.Count; got != 1 {
-		t.Fatalf("Latest after Publish should be the published view: count=%d", got)
-	}
-	r.Publish()
-	if got := r.Latest().Total.Count; got != 2 {
-		t.Fatalf("re-Publish did not refresh: count=%d", got)
-	}
-}
-
-func TestPublisherLifecycle(t *testing.T) {
-	r := New("loop", Config{})
-	r.ObserveDuration(ClassPublish, time.Microsecond, 0, nil)
-	p := r.StartPublisher(time.Millisecond)
-	deadline := time.Now().Add(2 * time.Second)
-	for r.published.Load() == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("publisher never published")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	p.Stop()
-	p.Stop() // idempotent
-	if r.published.Load().Total.Count != 1 {
-		t.Fatalf("published snapshot: %+v", r.published.Load())
-	}
-}
-
-func TestPublishExpvar(t *testing.T) {
-	r := New("expvar-test", Config{})
-	r.ObserveDuration(ClassQuery, time.Microsecond, 0, nil)
-	r.Publish()
-	r.PublishExpvar()
-	v := expvar.Get("live.expvar-test")
-	if v == nil {
-		t.Fatal("expvar not registered")
-	}
-	var s Snapshot
-	if err := json.Unmarshal([]byte(v.String()), &s); err != nil {
-		t.Fatalf("expvar value not JSON: %v", err)
-	}
-	if s.Label != "expvar-test" || s.Total.Count != 1 {
-		t.Fatalf("expvar snapshot: %+v", s)
-	}
-	// Re-registering the same label repoints, never panics.
-	r2 := New("expvar-test", Config{})
-	r2.ObserveDuration(ClassQuery, time.Microsecond, 0, nil)
-	r2.ObserveDuration(ClassQuery, time.Microsecond, 1, nil)
-	r2.Publish()
-	r2.PublishExpvar()
-	if err := json.Unmarshal([]byte(expvar.Get("live.expvar-test").String()), &s); err != nil {
-		t.Fatal(err)
-	}
-	if s.Total.Count != 2 {
-		t.Fatalf("expvar not repointed to new recorder: count=%d", s.Total.Count)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"repro/internal/hier"
 	"repro/internal/obs"
 	"repro/internal/obs/live"
-	"repro/internal/runtime/track"
 )
 
 // newLiveTracker builds a tracker with both observability layers
@@ -52,10 +51,10 @@ func getJSON(t *testing.T, srv *httptest.Server, path string, out any) *http.Res
 }
 
 // TestDebugMuxLiveRoundTrip drives the debug handler through httptest:
-// run real ops, then read back the live percentile snapshot and the
-// sampled spans exactly as a ServeDebug client would.
+// run real ops, then read back the live percentile snapshot, the
+// sampled spans and the per-node load exactly as a client would.
 func TestDebugMuxLiveRoundTrip(t *testing.T) {
-	tr, lrec := newLiveTracker(t, 6, 6)
+	tr, _ := newLiveTracker(t, 6, 6)
 	for o := 1; o <= 4; o++ {
 		if err := tr.Publish(core.ObjectID(o), graph.NodeID(o)); err != nil {
 			t.Fatal(err)
@@ -69,9 +68,8 @@ func TestDebugMuxLiveRoundTrip(t *testing.T) {
 	}
 	tr.Crash(3)
 	tr.Recover(3)
-	lrec.Publish()
 
-	srv := httptest.NewServer(tr.debugMux())
+	srv := httptest.NewServer(tr.DebugMux())
 	defer srv.Close()
 
 	var snap live.Snapshot
@@ -114,11 +112,6 @@ func TestDebugMuxLiveRoundTrip(t *testing.T) {
 		}
 	}
 
-	// The deterministic endpoints still serve alongside the live ones.
-	var obsSnap map[string]any
-	if resp := getJSON(t, srv, "/debug/obs", &obsSnap); resp.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/obs status %d", resp.StatusCode)
-	}
 	var load []int
 	if resp := getJSON(t, srv, "/debug/load", &load); resp.StatusCode != http.StatusOK {
 		t.Fatalf("/debug/load status %d", resp.StatusCode)
@@ -132,7 +125,7 @@ func TestDebugMuxLiveRoundTrip(t *testing.T) {
 // surface: the endpoints exist but answer 404, not garbage.
 func TestDebugMuxLiveDisabled(t *testing.T) {
 	tr, _ := newObsTracker(t, 4, 4)
-	srv := httptest.NewServer(tr.debugMux())
+	srv := httptest.NewServer(tr.DebugMux())
 	defer srv.Close()
 	for _, path := range []string{"/debug/live", "/debug/live/samples"} {
 		if resp := getJSON(t, srv, path, nil); resp.StatusCode != http.StatusNotFound {
@@ -141,119 +134,13 @@ func TestDebugMuxLiveDisabled(t *testing.T) {
 	}
 }
 
-// TestServeDebugLive exercises the real listener path: publisher
-// lifecycle, expvar registration, and a fresh snapshot over HTTP.
-func TestServeDebugLive(t *testing.T) {
-	tr, _ := newLiveTracker(t, 4, 4)
-	if err := tr.Publish(1, 0); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := tr.ServeDebug("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get("http://" + srv.Addr() + "/debug/live")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap live.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if snap.Total.Count != 1 {
-		t.Fatalf("live snapshot over HTTP: %+v", snap.Total)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRaceDebugCloseDuringStop is the shutdown-ordering regression for
-// the debug endpoint: /debug/live requests hammer the server while the
-// tracker stops and the server closes, from several goroutines at once.
-// Before DebugServer.Close switched to a Shutdown-first teardown, an
-// in-flight handler could still be reading the live recorder while the
-// publisher and tracker were being torn down around it; Close also
-// wasn't guarded, so concurrent or repeated Closes raced on the serve
-// loop's Wait. Runs in the -race smoke tier.
-func TestRaceDebugCloseDuringStop(t *testing.T) {
-	for round := 0; round < 3; round++ {
-		g := graph.Grid(4, 4)
-		m := graph.NewMetric(g)
-		hs, err := hier.Build(g, m, hier.Config{Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		lrec := live.New("race-debug", live.Config{SampleSize: 32, Seed: 1})
-		tr := New(g, hs, Options{Live: lrec})
-		srv, err := tr.ServeDebug("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tr.Publish(1, 0); err != nil {
-			t.Fatal(err)
-		}
-
-		var hammers track.Group
-		stop := make(chan struct{})
-		for w := 0; w < 4; w++ {
-			hammers.Go(func() {
-				client := &http.Client{Timeout: 2 * time.Second}
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					for _, path := range []string{"/debug/live", "/debug/live/samples"} {
-						resp, err := client.Get("http://" + srv.Addr() + path)
-						if err != nil {
-							// Connection refused/reset once the teardown has
-							// won the race is the expected outcome here.
-							return
-						}
-						_, _ = io.Copy(io.Discard, resp.Body)
-						resp.Body.Close()
-					}
-				}
-			})
-		}
-
-		// Generate traffic, then tear everything down while requests are
-		// still in flight: Close and Stop race each other and themselves.
-		for i := 0; i < 10; i++ {
-			if err := tr.Move(1, graph.NodeID(1+i%14)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var teardown track.Group
-		errs := make([]error, 2)
-		teardown.Go(func() { errs[0] = srv.Close() })
-		teardown.Go(func() { errs[1] = srv.Close() })
-		teardown.Go(tr.Stop)
-		teardown.Wait()
-		if errs[0] != errs[1] {
-			t.Fatalf("double Close disagreed: %v vs %v", errs[0], errs[1])
-		}
-		if errs[0] != nil {
-			t.Fatalf("Close: %v", errs[0])
-		}
-		// A Close after the fact stays a no-op with the same answer.
-		if err := srv.Close(); err != nil {
-			t.Fatalf("repeated Close: %v", err)
-		}
-		close(stop)
-		hammers.Wait()
-	}
-}
-
 // TestLiveOverheadBudget sanity-checks the overhead contract outside
 // the bench harness: the same op sequence with live telemetry on must
-// not blow past the live-off time. The precise ≤10% pin lives in
+// not blow past the live-off time. The ≤10% target is measured in
 // internal/bench (runtime/ops-live-on vs -off, recorded in
-// BENCH_15.json); here we take min-of-3 trials and assert a loose 1.5×
-// ceiling so scheduler noise on 1-CPU CI can't flake the tier.
+// BENCH_15.json) and is not met at the current op cost (22.1% there);
+// here we take min-of-3 trials and assert a loose 1.5× ceiling so
+// scheduler noise on 1-CPU CI can't flake the tier.
 func TestLiveOverheadBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison; skipped in -short")

@@ -1,9 +1,6 @@
 package runtime
 
 import (
-	"encoding/json"
-	"io"
-	"net/http"
 	"strings"
 	"testing"
 
@@ -107,55 +104,5 @@ func TestLoadByNodeAndObserveLoad(t *testing.T) {
 	}
 	if int(sum) != total {
 		t.Fatalf("series sum %v != load total %d", sum, total)
-	}
-}
-
-// TestServeDebug exercises the opt-in debug endpoint end to end.
-func TestServeDebug(t *testing.T) {
-	tr, _ := newObsTracker(t, 4, 4)
-	if err := tr.Publish(1, 5); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := tr.ServeDebug("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	resp, err := http.Get("http://" + srv.Addr() + "/debug/obs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var snap obs.Snapshot
-	if err := json.Unmarshal(body, &snap); err != nil {
-		t.Fatalf("bad /debug/obs JSON: %v\n%s", err, body)
-	}
-	if snap.Label != "runtime" || snap.Spans != 1 {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-
-	resp, err = http.Get("http://" + srv.Addr() + "/debug/load")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var load []int
-	if err := json.Unmarshal(body, &load); err != nil {
-		t.Fatalf("bad /debug/load JSON: %v\n%s", err, body)
-	}
-	if len(load) != 16 {
-		t.Fatalf("load = %v", load)
-	}
-
-	resp, err = http.Get("http://" + srv.Addr() + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("expvar status %d", resp.StatusCode)
 	}
 }

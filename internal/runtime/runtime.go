@@ -12,8 +12,9 @@
 // under one store lock, then the message is sent to the next station's
 // host, with per-attempt cost, fault decision and hop number. A failed
 // operation is rolled back. Operations can be observed via Options.Obs
-// (spans and per-node metrics on a cost clock, see obs.go) and the opt-in
-// debug HTTP endpoint (debug.go).
+// (spans and per-node metrics on a cost clock, see obs.go), Options.Live
+// (wall-clock latencies) and the diagnostics handler DebugMux
+// (debug.go).
 package runtime
 
 import (
@@ -95,7 +96,7 @@ type Tracker struct {
 
 	// Live wall-clock telemetry (nil disables — the pinned 0 allocs/op
 	// fast path): per-op latency histograms + sampled spans, served by
-	// ServeDebug's /debug/live endpoints. Never feeds measured output.
+	// DebugMux's /debug/live endpoints. Never feeds measured output.
 	live *live.Recorder
 }
 
@@ -115,8 +116,8 @@ type Options struct {
 	// Live is a wall-clock telemetry sink: each public operation's real
 	// elapsed time lands in its histograms and span reservoir. Unlike
 	// Obs, its data is non-deterministic by design and never reaches
-	// measured artifacts — it surfaces only through ServeDebug, expvar,
-	// and summaries. Nil keeps the zero-allocation disabled path.
+	// measured artifacts — it surfaces only through DebugMux and
+	// summaries. Nil keeps the zero-allocation disabled path.
 	Live *live.Recorder
 }
 

@@ -11,29 +11,26 @@ import (
 type ShardStatus struct {
 	ID    int    `json:"id"`
 	Label string `json:"label"`
-	// QueueDepth is the number of moves pending in the bounded queue at
-	// snapshot time; sustained depth near the configured bound means
+	// Inflight is the number of operations holding window slots at
+	// snapshot time; sustained use near the configured bound means
 	// clients are about to see 429s.
-	QueueDepth int `json:"queue_depth"`
-	// Inflight is the number of synchronous ops holding window slots.
 	Inflight int `json:"inflight"`
 	// Ops is the shard tracker's lifetime operation count.
 	Ops int64 `json:"ops"`
 }
 
 // Status is the aggregated /debug/serve snapshot: service-level rates
-// and tails plus per-shard queue pressure. Request percentiles are
-// measured at the HTTP surface (queue wait included); per-shard tracker
-// latencies live under /debug/shard/<i>/debug/live.
+// and tails plus per-shard window pressure. Request percentiles are
+// measured at the HTTP surface; per-shard tracker latencies live under
+// /debug/shard/<i>/debug/live.
 type Status struct {
-	Shards     int     `json:"shards"`
-	Nodes      int     `json:"nodes"`
-	QueueDepth int     `json:"queue_bound"`
-	Inflight   int     `json:"inflight_bound"`
-	UptimeNs   int64   `json:"uptime_ns"`
-	OpsPerSec  float64 `json:"ops_per_sec"`
-	// Rejected counts 429 responses (move queue or inflight window
-	// full) over the server's lifetime.
+	Shards    int     `json:"shards"`
+	Nodes     int     `json:"nodes"`
+	Inflight  int     `json:"inflight_bound"`
+	UptimeNs  int64   `json:"uptime_ns"`
+	OpsPerSec float64 `json:"ops_per_sec"`
+	// Rejected counts 429 responses (inflight window full) over the
+	// server's lifetime.
 	Rejected int64 `json:"rejected"`
 	// Request carries per-class request-latency percentiles
 	// (p50/p90/p99/p999) from the service-level recorder.
@@ -46,24 +43,22 @@ func (s *Server) Snapshot() Status {
 	snap := s.agg.Snapshot()
 	uptime := time.Since(s.start)
 	st := Status{
-		Shards:     len(s.shards),
-		Nodes:      s.cfg.Nodes,
-		QueueDepth: s.cfg.QueueDepth,
-		Inflight:   s.cfg.Inflight,
-		UptimeNs:   int64(uptime),
-		Rejected:   s.rejected.Load(),
-		Request:    snap,
+		Shards:   len(s.shards),
+		Nodes:    s.cfg.Nodes,
+		Inflight: s.cfg.Inflight,
+		UptimeNs: int64(uptime),
+		Rejected: s.rejected.Load(),
+		Request:  snap,
 	}
 	if secs := uptime.Seconds(); secs > 0 {
 		st.OpsPerSec = float64(snap.Total.Count) / secs
 	}
 	for _, sh := range s.shards {
 		st.ShardStatus = append(st.ShardStatus, ShardStatus{
-			ID:         sh.id,
-			Label:      sh.live.Label(),
-			QueueDepth: sh.queueDepth(),
-			Inflight:   sh.inflight(),
-			Ops:        sh.live.Snapshot().Total.Count,
+			ID:       sh.id,
+			Label:    sh.live.Label(),
+			Inflight: sh.inflight(),
+			Ops:      sh.live.Snapshot().Total.Count,
 		})
 	}
 	return st

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/pprof"
 	"strconv"
 
 	"repro/internal/chaos"
@@ -35,10 +36,6 @@ type (
 		Object int64 `json:"object"`
 		To     int64 `json:"to"`
 		Shard  int   `json:"shard"`
-		// Coalesced reports that a newer queued move of the same object
-		// superseded this one before the tracker saw it; the trail
-		// reflects a report at least as new as this one.
-		Coalesced bool `json:"coalesced,omitempty"`
 	}
 	queryResponse struct {
 		Object   int64   `json:"object"`
@@ -78,7 +75,13 @@ func (s *Server) buildMux() *http.ServeMux {
 		writeErr(w, http.StatusNotFound, "no such endpoint")
 	})
 	mux.HandleFunc("GET /debug/serve", s.handleDebugServe)
-	// Each shard's full runtime diagnostics ride along under a prefix:
+	// The profiles cover the whole process, so they mount once.
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	// Each shard's runtime diagnostics ride along under a prefix:
 	// GET /debug/shard/<i>/debug/live, /debug/shard/<i>/debug/load, ...
 	for i, sh := range s.shards {
 		prefix := fmt.Sprintf("/debug/shard/%d", i)
@@ -131,7 +134,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 // admitted handler in s.handlers, which the caller must mark Done on
 // return. The HTTP server's own Shutdown already waits for its handlers;
 // the count covers handlers mounted on a caller's listener via Handler,
-// which Shutdown must also outwait before it stops the drain loops.
+// which Shutdown must also outwait before it stops the trackers.
 func (s *Server) admitted(w http.ResponseWriter) bool {
 	s.admitMu.RLock()
 	ok := !s.draining
@@ -221,23 +224,21 @@ func (s *Server) handleMove(w http.ResponseWriter, r *http.Request) {
 	}
 	obj := core.ObjectID(req.Object)
 	sh := s.shardFor(obj)
+	if !sh.tryAcquire() {
+		s.reject(w, "shard inflight window full")
+		return
+	}
 	st := s.agg.Start()
-	done, ok := sh.enqueueMove(obj, graph.NodeID(req.To))
-	if !ok {
-		s.reject(w, "shard move queue full")
+	err := sh.tr.Move(obj, graph.NodeID(req.To))
+	sh.release()
+	s.agg.Observe(live.ClassMove, st, int(obj), err)
+	if err != nil {
+		writeErr(w, opStatus(err), err.Error())
 		return
 	}
-	// Block until the drain loop applies (or coalesces) the report: the
-	// 200 below is the ack the no-lost-moves guarantee hangs off.
-	res := <-done
-	s.agg.Observe(live.ClassMove, st, int(obj), res.err)
-	if res.err != nil {
-		writeErr(w, opStatus(res.err), res.err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, moveResponse{
-		Object: req.Object, To: req.To, Shard: sh.id, Coalesced: res.coalesced,
-	})
+	// The 200 is the ack the no-lost-moves guarantee hangs off: it is
+	// written only after this handler's own Move applied the report.
+	writeJSON(w, http.StatusOK, moveResponse{Object: req.Object, To: req.To, Shard: sh.id})
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {

@@ -8,34 +8,30 @@
 // SplitMix64 hash of the object ID; each shard owns an independent
 // goroutine-runtime tracker (internal/runtime) over one shared sensor
 // network and overlay hierarchy, with its own wall-clock telemetry
-// recorder (internal/obs/live, labeled serve-shard-<i>). Publishes and
-// queries execute synchronously under a per-shard inflight window;
-// moves flow through a per-shard bounded queue into a drain loop that
-// batches whatever is pending and coalesces multiple queued moves of
-// the same object into the latest position before touching the tracker
-// (the paper's one-by-one discipline then pays one maintenance
-// operation for a burst of position reports). Every accepted move is
-// acknowledged only after its batch applies, so a 200 means the trail
-// reflects the report — nothing acknowledged can be lost by a drain.
+// recorder (internal/obs/live, labeled serve-shard-<i>). Publishes,
+// moves and queries all run on their handler's goroutine under the
+// shard's inflight window; the tracker's per-object lock keeps one
+// object's operations in order (the paper's one-by-one discipline). A
+// move is acknowledged only after its own Move returned, so a 200 means
+// the trail reflects the report — nothing acknowledged can be lost by a
+// drain.
 //
-// Backpressure. Both admission paths are bounded: a full move queue or
-// a saturated inflight window answers 429 with a Retry-After hint
-// instead of queueing unboundedly. Shutdown drains in dependency
-// order — stop admitting, finish in-flight handlers (which flushes the
-// move queues, since handlers block for their acks), then stop the
-// drain loops and trackers — so SIGTERM never abandons acknowledged
-// work.
+// Backpressure. Admission is bounded by one window per shard: a
+// saturated window answers 429 with a Retry-After hint instead of
+// queueing unboundedly. Shutdown drains in dependency order — stop
+// admitting, finish in-flight handlers, then stop the trackers — so
+// SIGTERM never abandons acknowledged work.
 //
-// Observability and chaos. /debug/serve aggregates ops/sec, queue
-// depths and per-class p50/p99 across shards; each shard's full
-// runtime diagnostics (including /debug/live) mount under
-// /debug/shard/<i>/. With Config.ChaosAdmin set, POST /v1/fail/<node>
-// and /v1/recover/<node> drive internal/chaos fault drills against the
-// live server: messages routed through a failed sensor drop and
-// retry until the retransmission budget surfaces a DeliveryError as a
-// 503. This package measures wall-clock time by design and is on
-// motlint's walltime allowlist; nothing it records feeds deterministic
-// artifacts.
+// Observability and chaos. /debug/serve aggregates ops/sec, inflight
+// counts and per-class p50/p99 across shards; each shard's live
+// latency snapshot and load mount under /debug/shard/<i>/, and the
+// process-wide pprof handlers under /debug/pprof/. With
+// Config.ChaosAdmin set, POST /v1/fail/<node> and /v1/recover/<node>
+// drive internal/chaos fault drills against the live server: messages
+// routed through a failed sensor drop and retry until the
+// retransmission budget surfaces a DeliveryError as a 503. This package
+// measures wall-clock time by design and is on motlint's walltime
+// allowlist; nothing it records feeds deterministic artifacts.
 package serve
 
 import (
@@ -73,25 +69,20 @@ type Config struct {
 	// Seed drives the overlay construction and salts each shard's
 	// telemetry and fault streams. Default 1.
 	Seed int64
-	// QueueDepth bounds each shard's pending-move queue; a full queue
-	// answers 429. Default 1024.
-	QueueDepth int
-	// Inflight bounds each shard's concurrently executing publishes and
-	// queries; a saturated window answers 429. Default 256.
+	// Inflight bounds each shard's concurrently executing operations;
+	// a saturated window answers 429. Default 256.
 	Inflight int
-	// SampleSize caps each live recorder's span reservoir.
-	// Default live.DefaultSampleSize.
-	SampleSize int
 	// ChaosAdmin opts in to the fault-drill admin endpoints
 	// (/v1/fail, /v1/recover) and builds every shard tracker with a
 	// chaos injector so failed sensors actually drop traffic. Off, the
 	// endpoints answer 403 and trackers run injector-free.
 	ChaosAdmin bool
-	// MaxAttempts bounds per-message retransmissions during fault
-	// drills before an operation fails with a 503. Only meaningful with
-	// ChaosAdmin; default 4.
-	MaxAttempts int
 }
+
+// maxAttempts bounds per-message transmissions during fault drills
+// before an operation fails with a 503. Retries are simulated, never
+// slept, so the bound costs no wall time.
+const maxAttempts = 4
 
 func (c *Config) fill() {
 	if c.Shards <= 0 {
@@ -103,17 +94,8 @@ func (c *Config) fill() {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 1024
-	}
 	if c.Inflight <= 0 {
 		c.Inflight = 256
-	}
-	if c.SampleSize <= 0 {
-		c.SampleSize = live.DefaultSampleSize
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 4
 	}
 }
 
@@ -123,16 +105,14 @@ func (c *Config) fill() {
 type Server struct {
 	cfg    Config
 	g      *graph.Graph
-	dm     graph.DistanceOracle
-	ov     overlay.Overlay
 	root   graph.NodeID
 	shards []*shard
 	mux    *http.ServeMux
 
 	// agg measures request latency at the HTTP surface (admission to
-	// response, queue wait included) across all shards — the number
-	// /debug/serve's percentiles report. Per-shard recorders underneath
-	// measure tracker-op latency alone.
+	// response) across all shards — the number /debug/serve's
+	// percentiles report. Per-shard recorders underneath measure
+	// tracker-op latency alone.
 	agg   *live.Recorder
 	start time.Time
 
@@ -153,9 +133,9 @@ type Server struct {
 }
 
 // New builds the shared substrate (grid, distance oracle, overlay) and
-// starts Config.Shards independent trackers over it. The server is not
-// listening yet: mount Handler yourself or call Serve/ListenAndServe.
-// Call Shutdown to drain.
+// Config.Shards independent trackers over it; it starts no goroutine.
+// The server is not listening yet: mount Handler yourself or call
+// Serve/ListenAndServe. Call Shutdown to drain.
 func New(cfg Config) (*Server, error) {
 	cfg.fill()
 	g := graph.NearSquareGrid(cfg.Nodes)
@@ -174,14 +154,12 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:   cfg,
 		g:     g,
-		dm:    dm,
-		ov:    ov,
 		root:  ov.Root().Host,
-		agg:   live.New("serve", live.Config{SampleSize: cfg.SampleSize, Seed: cfg.Seed}),
+		agg:   live.New("serve", live.Config{Seed: cfg.Seed}),
 		start: time.Now(),
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		s.shards = append(s.shards, newShard(i, s, g, ov))
+		s.shards = append(s.shards, newShard(i, cfg, g, ov))
 	}
 	s.mux = s.buildMux()
 	return s, nil
@@ -242,13 +220,12 @@ func (s *Server) ListenAndServe(addr string) error {
 }
 
 // Shutdown drains the server in dependency order: stop admitting
-// requests (new arrivals answer 503), let in-flight handlers finish —
-// which flushes the move queues, because a move handler only returns
-// once its batch applied — then stop the drain loops, and finally the
-// shard trackers. Acknowledged moves are therefore always applied
-// before their trackers stop: a drain loses nothing a client was told
-// succeeded. Idempotent and safe to call concurrently; every call
-// returns the first drain's error.
+// requests (new arrivals answer 503), let in-flight handlers finish,
+// then stop the shard trackers. A move handler acks only after its own
+// Move returned, so every acknowledged move is applied before its
+// tracker stops: a drain loses nothing a client was told succeeded.
+// Idempotent and safe to call concurrently; every call returns the
+// first drain's error.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.closeOnce.Do(func() {
 		s.admitMu.Lock()
@@ -267,12 +244,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 		s.handlers.Wait()
 		for _, sh := range s.shards {
-			sh.stopLoop()
-		}
-		for _, sh := range s.shards {
-			sh.loops.Wait()
-		}
-		for _, sh := range s.shards {
 			sh.tr.Stop()
 		}
 		s.closeErr = err
@@ -290,25 +261,17 @@ func newInjector(cfg Config, shardID int, n int) *chaos.Injector {
 	}
 	return chaos.NewInjector(chaos.Config{
 		Seed:        cfg.Seed + int64(shardID),
-		MaxAttempts: cfg.MaxAttempts,
+		MaxAttempts: maxAttempts,
 	}, n)
 }
 
-// newShard starts shard i's tracker and drain loop.
-func newShard(i int, s *Server, g *graph.Graph, ov overlay.Overlay) *shard {
-	lrec := live.New(fmt.Sprintf("serve-shard-%d", i), live.Config{
-		SampleSize: s.cfg.SampleSize,
-		Seed:       s.cfg.Seed + int64(i),
-	})
-	sh := &shard{
-		id:    i,
-		srv:   s,
-		live:  lrec,
-		tr:    runtime.New(g, ov, runtime.Options{Chaos: newInjector(s.cfg, i, g.N()), Live: lrec}),
-		moveQ: make(chan moveReq, s.cfg.QueueDepth),
-		sem:   make(chan struct{}, s.cfg.Inflight),
-		quit:  make(chan struct{}),
+// newShard builds shard i's tracker and inflight window.
+func newShard(i int, cfg Config, g *graph.Graph, ov overlay.Overlay) *shard {
+	lrec := live.New(fmt.Sprintf("serve-shard-%d", i), live.Config{Seed: cfg.Seed + int64(i)})
+	return &shard{
+		id:   i,
+		live: lrec,
+		tr:   runtime.New(g, ov, runtime.Options{Chaos: newInjector(cfg, i, g.N()), Live: lrec}),
+		sem:  make(chan struct{}, cfg.Inflight),
 	}
-	sh.loops.Go(sh.drainLoop)
-	return sh
 }

@@ -8,13 +8,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	goruntime "runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/obs/live"
 	"repro/internal/runtime/track"
 )
@@ -180,72 +180,24 @@ func TestServeShardPartition(t *testing.T) {
 	}
 }
 
-// TestServeCoalescing feeds one batch with a burst of moves for the
-// same object through applyBatch directly: the tracker sees exactly one
-// move (the latest position), superseded requests ack as coalesced — even
-// one whose target equals the winner's — and an interleaved second object
-// is untouched by the collapse.
-func TestServeCoalescing(t *testing.T) {
-	s, _ := newTestServer(t, Config{Shards: 1, Nodes: 36, Seed: 1})
-	sh := s.shards[0]
-	for o := 1; o <= 3; o++ {
-		if err := sh.tr.Publish(core.ObjectID(o), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	opsBefore := sh.live.Snapshot().Total.Count
-
-	mk := func(o, to int) moveReq {
-		return moveReq{obj: core.ObjectID(o), to: graph.NodeID(to), done: make(chan moveResult, 1)}
-	}
-	batch := []moveReq{mk(1, 5), mk(2, 9), mk(1, 11), mk(3, 7), mk(1, 23), mk(3, 7)}
-	sh.applyBatch(batch)
-
-	wantCoalesced := []bool{true, false, true, true, false, false}
-	for i, req := range batch {
-		res := <-req.done
-		if res.err != nil {
-			t.Fatalf("batch[%d]: %v", i, res.err)
-		}
-		if res.coalesced != wantCoalesced[i] {
-			t.Errorf("batch[%d] coalesced = %v, want %v", i, res.coalesced, wantCoalesced[i])
-		}
-	}
-	if loc, _ := sh.tr.Location(1); loc != 23 {
-		t.Fatalf("object 1 at %d, want the latest queued position 23", loc)
-	}
-	if loc, _ := sh.tr.Location(2); loc != 9 {
-		t.Fatalf("object 2 at %d, want 9", loc)
-	}
-	if loc, _ := sh.tr.Location(3); loc != 7 {
-		t.Fatalf("object 3 at %d, want 7", loc)
-	}
-
-	// The collapse must be visible at the tracker: 6 queued moves, but
-	// only 3 maintenance ops recorded (one per object in the batch).
-	if got := sh.live.Snapshot().Total.Count - opsBefore; got != 3 {
-		t.Fatalf("tracker ops for the batch = %d, want 3 (coalesced)", got)
-	}
-}
-
-// TestServeBackpressure exercises both 429 paths deterministically: a
-// saturated inflight window (slot held externally) and a full move
-// queue (drain loop stopped, queue stuffed). Both must carry the
-// Retry-After hint, count into the rejected meter, and clear once the
-// pressure lifts.
+// TestServeBackpressure exercises the 429 path deterministically: with
+// the single inflight slot held externally, publish, move and query
+// must all shed, carry the Retry-After hint and count into the rejected
+// meter, and service resumes once the slot is released.
 func TestServeBackpressure(t *testing.T) {
-	s, ts := newTestServer(t, Config{Shards: 1, Nodes: 16, Seed: 1, Inflight: 1, QueueDepth: 1})
+	s, ts := newTestServer(t, Config{Shards: 1, Nodes: 16, Seed: 1, Inflight: 1})
 	sh := s.shards[0]
 	if resp := doJSON(t, "POST", ts.URL+"/v1/publish", publishBody(1, 0), nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("publish status %d", resp.StatusCode)
 	}
 
-	// Hold the single inflight slot: publish and query must shed.
+	// Hold the single inflight slot: every operation must shed.
 	if !sh.tryAcquire() {
 		t.Fatal("could not take the only slot")
 	}
 	for _, tc := range []struct{ method, path, body string }{
 		{"POST", "/v1/publish", publishBody(2, 1)},
+		{"POST", "/v1/move", moveBody(1, 3)},
 		{"GET", "/v1/query/1", ""},
 	} {
 		resp := doJSON(t, tc.method, ts.URL+tc.path, tc.body, nil)
@@ -260,21 +212,6 @@ func TestServeBackpressure(t *testing.T) {
 	if resp := doJSON(t, "GET", ts.URL+"/v1/query/1", "", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("query after release: status %d", resp.StatusCode)
 	}
-
-	// Full move queue: stop the drain loop, stuff the one slot, then a
-	// client move must shed instead of blocking.
-	sh.stopLoop()
-	sh.loops.Wait()
-	if _, ok := sh.enqueueMove(1, 2); !ok {
-		t.Fatal("stuffing the stopped queue failed")
-	}
-	resp := doJSON(t, "POST", ts.URL+"/v1/move", moveBody(1, 3), nil)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("move into full queue: status %d, want 429", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("move 429 without Retry-After")
-	}
 	if got := s.Snapshot().Rejected; got != 3 {
 		t.Fatalf("rejected meter = %d, want 3", got)
 	}
@@ -285,7 +222,7 @@ func TestServeBackpressure(t *testing.T) {
 // retransmission budget exhausts against a crashed sensor), and
 // recovery restores service.
 func TestServeChaosDrill(t *testing.T) {
-	s, ts := newTestServer(t, Config{Shards: 2, Nodes: 16, Seed: 1, ChaosAdmin: true, MaxAttempts: 2})
+	s, ts := newTestServer(t, Config{Shards: 2, Nodes: 16, Seed: 1, ChaosAdmin: true})
 	if resp := doJSON(t, "POST", ts.URL+"/v1/publish", publishBody(1, 2), nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("publish status %d", resp.StatusCode)
 	}
@@ -352,7 +289,8 @@ func checkShards(t testing.TB, s *Server) {
 }
 
 // TestServeDebugEndpoints reads back the aggregated /debug/serve
-// snapshot and each shard's mounted runtime diagnostics.
+// snapshot and each shard's mounted runtime diagnostics, and checks
+// that the process-wide pprof handlers mount once, not per shard.
 func TestServeDebugEndpoints(t *testing.T) {
 	_, ts := newTestServer(t, Config{Shards: 2, Nodes: 16, Seed: 1})
 	for o := 0; o < 8; o++ {
@@ -388,8 +326,8 @@ func TestServeDebugEndpoints(t *testing.T) {
 		if row.Label != fmt.Sprintf("serve-shard-%d", row.ID) {
 			t.Fatalf("shard row label %q", row.Label)
 		}
-		if row.QueueDepth != 0 {
-			t.Fatalf("shard %d queue depth %d at quiescence", row.ID, row.QueueDepth)
+		if row.Inflight != 0 {
+			t.Fatalf("shard %d inflight %d at quiescence", row.ID, row.Inflight)
 		}
 		shardOps += row.Ops
 	}
@@ -417,6 +355,14 @@ func TestServeDebugEndpoints(t *testing.T) {
 			t.Fatalf("shard %d live count 0", i)
 		}
 	}
+	for path, want := range map[string]int{
+		"/debug/pprof/":             http.StatusOK,
+		"/debug/shard/0/debug/vars": http.StatusNotFound,
+	} {
+		if resp := doJSON(t, "GET", ts.URL+path, "", nil); resp.StatusCode != want {
+			t.Fatalf("%s status %d, want %d", path, resp.StatusCode, want)
+		}
+	}
 }
 
 // TestServeShutdownDrain is the SIGTERM-drain contract over a real
@@ -425,7 +371,7 @@ func TestServeDebugEndpoints(t *testing.T) {
 // be reflected in its object's final location — no lost acks — and the
 // server answers nothing further.
 func TestServeShutdownDrain(t *testing.T) {
-	s, err := New(Config{Shards: 4, Nodes: 36, Seed: 2, QueueDepth: 64, Inflight: 32})
+	s, err := New(Config{Shards: 4, Nodes: 36, Seed: 2, Inflight: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,7 +467,7 @@ func TestServeShutdownDrain(t *testing.T) {
 // groups and two snapshot readers against 2 shards, then Shutdown twice
 // concurrently while traffic is still arriving.
 func TestRaceServeMixedLoad(t *testing.T) {
-	s, err := New(Config{Shards: 2, Nodes: 16, Seed: 5, QueueDepth: 32, Inflight: 16})
+	s, err := New(Config{Shards: 2, Nodes: 16, Seed: 5, Inflight: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -596,4 +542,74 @@ func TestRaceServeMixedLoad(t *testing.T) {
 		t.Fatalf("Shutdown: %v", errs[0])
 	}
 	checkShards(t, s)
+}
+
+// TestServeNewStartsNoGoroutines pins the inline move path: a move runs
+// on its handler's goroutine, so New starts nothing per shard.
+func TestServeNewStartsNoGoroutines(t *testing.T) {
+	before := goruntime.NumGoroutine()
+	s, err := New(Config{Shards: 64, Nodes: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	started := goruntime.NumGoroutine() - before
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if started >= 8 {
+		t.Fatalf("New over 64 shards started %d goroutines, want fewer than 8", started)
+	}
+}
+
+// TestRaceServeSameObjectMoves sends concurrent moves of one object,
+// for the -race tier: the tracker's per-object lock alone keeps the
+// object's operations in order. Every move is acknowledged, the
+// directory stays consistent, and a query from every sensor finds the
+// object where the tracker says it is.
+func TestRaceServeSameObjectMoves(t *testing.T) {
+	s, ts := newTestServer(t, Config{Shards: 1, Nodes: 36, Seed: 4})
+	if resp := doJSON(t, "POST", ts.URL+"/v1/publish", publishBody(1, 0), nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("publish status %d", resp.StatusCode)
+	}
+	const clients, moves = 8, 40
+	codes := make([][]int, clients)
+	var g track.Group
+	for c := 0; c < clients; c++ {
+		g.Go(func() {
+			client := &http.Client{Timeout: 10 * time.Second}
+			for i := 0; i < moves; i++ {
+				resp, err := client.Post(ts.URL+"/v1/move", "application/json",
+					strings.NewReader(moveBody(1, (c*moves+i)%36)))
+				if err != nil {
+					codes[c] = append(codes[c], -1)
+					continue
+				}
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				codes[c] = append(codes[c], resp.StatusCode)
+			}
+		})
+	}
+	g.Wait()
+	for c, cs := range codes {
+		for i, code := range cs {
+			if code != http.StatusOK {
+				t.Fatalf("client %d move %d: status %d, want 200", c, i, code)
+			}
+		}
+	}
+	checkShards(t, s)
+	want, ok := s.Location(1)
+	if !ok {
+		t.Fatal("object 1 vanished")
+	}
+	for from := 0; from < 36; from++ {
+		var q queryResponse
+		if resp := doJSON(t, "GET", fmt.Sprintf("%s/v1/query/1?from=%d", ts.URL, from), "", &q); resp.StatusCode != http.StatusOK {
+			t.Fatalf("query from %d: status %d", from, resp.StatusCode)
+		}
+		if q.Location != int64(want) {
+			t.Fatalf("query from %d: location %d, want %d", from, q.Location, want)
+		}
+	}
 }

@@ -38,7 +38,7 @@ func soakSecs(t *testing.T) int {
 
 // soakP99SLO is the drain-time request-p99 ceiling. Deliberately loose —
 // the soak runs on arbitrary CI hardware next to a chaos drill — it
-// exists to catch collapse (seconds-long tails from a stuck queue), not
+// exists to catch collapse (seconds-long tails from a stuck shard), not
 // to pin performance; BENCH_15.json's serve rows do that.
 const soakP99SLO = 500 * time.Millisecond
 
@@ -48,15 +48,11 @@ const soakP99SLO = 500 * time.Millisecond
 // target (a 5xx'd move has no effect), a query from three seeded random
 // origins finds it there, and every shard's directory passes core's
 // invariant check — and finally a graceful drain under a fresh burst of
-// load, after which no acknowledged move is lost, every queue is empty,
-// and the request p99 stayed under the (loose) SLO.
+// load, after which no acknowledged move is lost, no operation holds an
+// inflight slot, and the request p99 stayed under the (loose) SLO.
 func TestSoakServe(t *testing.T) {
 	secs := soakSecs(t)
-	s, err := New(Config{
-		Shards: 4, Nodes: 144, Seed: 11,
-		QueueDepth: 256, Inflight: 64,
-		ChaosAdmin: true, MaxAttempts: 3,
-	})
+	s, err := New(Config{Shards: 4, Nodes: 144, Seed: 11, Inflight: 64, ChaosAdmin: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,8 +211,8 @@ func TestSoakServe(t *testing.T) {
 
 	snap := s.Snapshot()
 	for _, row := range snap.ShardStatus {
-		if row.QueueDepth != 0 {
-			t.Errorf("shard %d: %d moves still queued after drain", row.ID, row.QueueDepth)
+		if row.Inflight != 0 {
+			t.Errorf("shard %d: %d operations still in flight after drain", row.ID, row.Inflight)
 		}
 	}
 	checkObjects()
