@@ -37,9 +37,10 @@
 #                  MOT_SOAK_SECS shortens it (CI runs 15s on every PR)
 #   make bench-json — the perf-trajectory suite (frozen vs lazy metric
 #                  reads, all-pairs precompute, substrate-cache on/off
-#                  sweep throughput, oracle build/read vs exact, a 10k
-#                  oracle scale cell, a churn cell with the
-#                  repair-vs-rebuild ratio, the live-telemetry
+#                  sweep throughput, oracle build/read vs exact, the
+#                  exact audit's point-to-point search and a hierarchy
+#                  build at 10k nodes, a 10k oracle scale cell, a churn
+#                  cell with the repair-vs-rebuild ratio, the live-telemetry
 #                  overhead pins: nil-sink allocs and runtime ops with
 #                  live on vs off, and the motserve serving rows:
 #                  publish/move/query ops through the sharded HTTP front

@@ -5,13 +5,15 @@
 //
 // Usage:
 //
-//	motsim -fig 4              # one figure at full (paper) scale
+//	motsim -fig 4 -scale 1     # one figure at full (paper) scale
 //	motsim -fig all -scale 0.1 # all figures, workload scaled to 10%
 //	motsim -fig 5 -workers 8   # sweep cells on 8 goroutines
 //
 // Scale 1 reproduces the paper's exact setting (grids of 10–1024 nodes,
 // 100/1000 objects, 1000 maintenance operations per object, 5 seeds) and
-// takes a long while; small scales finish in seconds to minutes.
+// takes a long while; small scales finish in seconds to minutes. A
+// -scale outside (0,1], a -seeds below 1 or a negative -workers is a
+// usage error (exit 2), never replaced by a default.
 //
 // -workers sizes the sweep worker pool (default: one per CPU). Each
 // (size, seed) cell derives its PRNG from an independent
@@ -284,6 +286,10 @@ func main() {
 	list := flag.Bool("list", false, "list available figures and exit")
 	quiet := flag.Bool("quiet", false, "suppress the per-figure wall-clock summary")
 	flag.Parse()
+	if err := checkSizeFlags(*scale, *seeds, *workers); err != nil {
+		fmt.Fprintf(os.Stderr, "motsim: %v\n", err)
+		os.Exit(2)
+	}
 
 	if *benchJSON != "" {
 		runBenchJSON(*benchJSON)

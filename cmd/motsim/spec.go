@@ -1,11 +1,12 @@
-// Flag-spec parsing for the composite -chaos and -churn arguments,
-// split from main so the validation is table-testable. The historical
-// parser looked strict but had real holes: NaN satisfies neither
-// `rate < 0` nor `rate > 1` and sailed through both range checks, empty
-// fields from a trailing comma surfaced as confusing strconv errors,
-// and churn rates above the paper's 10% regime were silently clamped
-// down by the experiment tier instead of being rejected. All of those
-// are usage errors now: stderr message, exit 2.
+// Flag-spec parsing for the composite -chaos and -churn arguments, and
+// range checks for the plain size flags, split from main so the
+// validation is table-testable. The historical parser looked strict but
+// had real holes: NaN satisfies neither `rate < 0` nor `rate > 1` and
+// sailed through both range checks, empty fields from a trailing comma
+// surfaced as confusing strconv errors, and churn rates above the
+// paper's 10% regime were silently clamped down by the experiment tier
+// instead of being rejected. All of those are usage errors now: stderr
+// message, exit 2.
 package main
 
 import (
@@ -85,4 +86,23 @@ func parseChurnSpec(spec string) (rate float64, seed int64, err error) {
 		return 0, 0, fmt.Errorf("-churn seed %q: not an integer", seedStr)
 	}
 	return rate, seed, nil
+}
+
+// checkSizeFlags rejects out-of-range -scale, -seeds and -workers
+// values, which the harness used to replace silently: a -scale outside
+// (0,1] ran the paper's full setting, a -seeds below 1 printed a
+// one-seed table, and a negative -workers ran one worker per CPU. NaN
+// fails the scale check, because the test is written as the range
+// holding rather than as either bound failing.
+func checkSizeFlags(scale float64, seeds, workers int) error {
+	if !(scale > 0 && scale <= 1) {
+		return fmt.Errorf("-scale %v: must be in (0,1]", scale)
+	}
+	if seeds < 1 {
+		return fmt.Errorf("-seeds %d: must be at least 1", seeds)
+	}
+	if workers < 0 {
+		return fmt.Errorf("-workers %d: must be 0 (one per CPU) or more", workers)
+	}
+	return nil
 }

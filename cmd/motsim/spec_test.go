@@ -129,3 +129,36 @@ func FuzzParseChurnSpec(f *testing.F) {
 		}
 	})
 }
+
+func TestCheckSizeFlags(t *testing.T) {
+	for _, tc := range []struct {
+		scale          float64
+		seeds, workers int
+		wantErr        string // substring; "" = accepted
+	}{
+		{scale: 0.1, seeds: 1, workers: 0},
+		{scale: 1, seeds: 3, workers: 8},
+		{scale: 1e-9, seeds: 1, workers: 1},
+
+		{scale: 0, seeds: 1, wantErr: "-scale"},
+		{scale: -2, seeds: 1, wantErr: "-scale"},
+		{scale: 5, seeds: 1, wantErr: "-scale"},
+		{scale: 1.0000001, seeds: 1, wantErr: "-scale"},
+		{scale: math.NaN(), seeds: 1, wantErr: "-scale"},
+		{scale: math.Inf(1), seeds: 1, wantErr: "-scale"},
+		{scale: 0.1, seeds: 0, wantErr: "-seeds"},
+		{scale: 0.1, seeds: -3, wantErr: "-seeds"},
+		{scale: 0.1, seeds: 1, workers: -2, wantErr: "-workers"},
+	} {
+		err := checkSizeFlags(tc.scale, tc.seeds, tc.workers)
+		if tc.wantErr == "" {
+			if err != nil {
+				t.Errorf("checkSizeFlags(%v, %d, %d): %v", tc.scale, tc.seeds, tc.workers, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("checkSizeFlags(%v, %d, %d) err = %v, want substring %q", tc.scale, tc.seeds, tc.workers, err, tc.wantErr)
+		}
+	}
+}

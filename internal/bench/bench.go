@@ -28,7 +28,14 @@
 // serving rows: serve/ops-publish|move|query each pin one full HTTP
 // round trip through the sharded motserve front end (mux dispatch,
 // shard hash, inflight window, tracker op, ack) with ops_per_sec and the
-// server-side p50/p99 riding along as extras.
+// server-side p50/p99 riding along as extras — and the two oracle-tier
+// layers under the scale cell: graph/pair-dist-10000 pins a warmed
+// PairSearch.Dist on uniform pairs of the 10k grid (the sampled exact
+// audit's unit of work) at 0 allocs/op, and hier/build-10000 tracks
+// hier.Build over a prebuilt 10k sketch oracle. The build row is
+// unpinned: its allocs/op drift by a few dozen between runs, because
+// Oracle.Near draws its search scratch from a sync.Pool that GC can
+// empty.
 package bench
 
 import (
@@ -36,6 +43,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -242,6 +250,52 @@ func oracleDist() Result {
 	res := toResult("oracle/dist-1024", r, map[string]float64{"stretch": o.Stretch()})
 	res.Pinned = true
 	return res
+}
+
+// pairDist measures the sampled exact audit's unit of work: a
+// PairSearch.Dist on seeded uniform pairs of the 10k-node grid the
+// scale cells run on. The search is warmed on every pair first, so its
+// scratch has grown to the largest search and the row pins 0 allocs/op.
+func pairDist() Result {
+	const n = 10000
+	g := graph.NearSquareGrid(n)
+	ps := graph.NewPairSearch(g)
+	rng := rand.New(rand.NewSource(1))
+	pairs := make([][2]graph.NodeID, 256)
+	for i := range pairs {
+		pairs[i] = [2]graph.NodeID{graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))}
+		ps.Dist(pairs[i][0], pairs[i][1])
+	}
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		acc := 0.0
+		for i := 0; i < b.N; i++ {
+			p := pairs[i%len(pairs)]
+			acc += ps.Dist(p[0], p[1])
+		}
+		sink = acc
+	})
+	res := toResult("graph/pair-dist-10000", r, nil)
+	res.Pinned = true
+	return res
+}
+
+// hierBuild measures hier.Build over a prebuilt 10k-node sketch oracle,
+// with the scale harness's hierarchy configuration. The oracle is built
+// outside the timed loop, so the row isolates the hierarchy's ball
+// searches and MIS levels.
+func hierBuild() Result {
+	g := graph.NearSquareGrid(10000)
+	o := graph.NewOracle(g, graph.OracleConfig{})
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := hier.Build(g, o, hier.Config{Seed: 1, SpecialParentOffset: 2}); err != nil {
+				panic(err)
+			}
+		}
+	})
+	return toResult("hier/build-10000", r, nil)
 }
 
 // scaleCell measures one full 10k-node oracle-mode scale cell (oracle +
@@ -468,7 +522,7 @@ func Run() *Report {
 	benchmarks = append(benchmarks, off, on)
 	benchmarks = append(benchmarks, oracleBuild(1024, true)...)
 	benchmarks = append(benchmarks, oracleBuild(10000, false)...)
-	benchmarks = append(benchmarks, scaleCell(), churnCell())
+	benchmarks = append(benchmarks, best(3, pairDist), hierBuild(), scaleCell(), churnCell())
 	for _, class := range []string{"publish", "move", "query"} {
 		benchmarks = append(benchmarks, best(3, func() Result { return serveOps(class) }))
 	}

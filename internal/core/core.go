@@ -61,11 +61,11 @@ type Config struct {
 	Obs *obs.Recorder
 	// ExactSampleEvery enables sampled exact re-metering: roughly one in
 	// this many move/query operations (chosen by a seeded hash of the
-	// operation index) has its distance terms re-measured with on-demand
-	// exact Dijkstra rows, filling the CostMeter.Sampled* fields. Zero
-	// disables sampling. Only useful when the overlay runs on an
-	// approximate oracle — on the exact metric the sampled Est and Exact
-	// fields coincide.
+	// operation index) has its distance terms re-measured with exact
+	// point-to-point searches (graph.PairSearch), filling the
+	// CostMeter.Sampled* fields. Zero disables sampling. Only useful when
+	// the overlay runs on an approximate oracle — on the exact metric the
+	// sampled Est and Exact fields coincide.
 	ExactSampleEvery int
 	// ExactSampleSeed seeds the operation-sampling hash.
 	ExactSampleSeed int64
@@ -80,10 +80,10 @@ type Directory struct {
 	loc   map[ObjectID]graph.NodeID // ground-truth proxy of each object
 	moves uint64                    // each move stamps the next version
 
-	// Sampled exact re-metering state (see sample.go): the row cache, the
-	// move/query operation counter the sampling hash keys on, and the
+	// Sampled exact re-metering state (see sample.go): the exact search,
+	// the move/query operation counter the sampling hash keys on, and the
 	// in-flight operation's accumulators.
-	sampler    *exactSampler
+	sampler    *graph.PairSearch
 	sampOps    uint64
 	sampActive bool
 	sampEst    float64
@@ -105,7 +105,7 @@ func New(ov overlay.Overlay, cfg Config) *Directory {
 		loc: make(map[ObjectID]graph.NodeID),
 	}
 	if cfg.ExactSampleEvery > 0 {
-		d.sampler = newExactSampler(d.h.m.Graph())
+		d.sampler = graph.NewPairSearch(d.h.m.Graph())
 	}
 	return d
 }

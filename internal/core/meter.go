@@ -39,13 +39,14 @@ type CostMeter struct {
 
 	// Sampled exact re-metering (Config.ExactSampleEvery). In oracle mode
 	// every metered distance is an estimate; a seeded sample of move and
-	// query operations re-measures its distance terms with on-demand exact
-	// Dijkstra rows, giving an unbiased exact cost ratio over the sample
-	// (SampledMaintRatio/SampledQueryRatio) plus the est/exact gap that
-	// audits the oracle's real overshoot. The Est fields accumulate the
-	// oracle-reported distance terms of exactly the sampled operations, so
-	// Est and Exact are directly comparable. LB-routing and special-parent
-	// surcharges are not re-measured (they are metered separately anyway).
+	// query operations re-measures its distance terms with exact
+	// point-to-point searches, giving an unbiased exact cost ratio over
+	// the sample (SampledMaintRatio/SampledQueryRatio) plus the est/exact
+	// gap that audits the oracle's real overshoot. The Est fields
+	// accumulate the oracle-reported distance terms of exactly the sampled
+	// operations, so Est and Exact are directly comparable. LB-routing and
+	// special-parent surcharges are not re-measured (they are metered
+	// separately anyway).
 	SampledMaintOps       int
 	SampledMaintCostEst   float64
 	SampledMaintCostExact float64

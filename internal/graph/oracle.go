@@ -1,9 +1,11 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -137,10 +139,21 @@ type Oracle struct {
 	diam     float64
 }
 
+// nearScratch is the reusable state of one truncated Dijkstra: dist is
+// all-+Inf between searches, and each search restores only the entries
+// it touched, so a search costs its output, not an O(n) reset.
 type nearScratch struct {
 	dist    []float64
 	touched []NodeID
 	h       distHeap
+}
+
+func newNearScratch(n int) *nearScratch {
+	dist := make([]float64, n)
+	for i := range dist {
+		dist[i] = Inf
+	}
+	return &nearScratch{dist: dist, h: make(distHeap, 0, 64)}
 }
 
 // NewOracle builds the sketch oracle over g. The graph must not be
@@ -153,13 +166,7 @@ func NewOracle(g *Graph, cfg OracleConfig) *Oracle {
 		o.stretch = 1
 		return o
 	}
-	o.scratch.New = func() any {
-		dist := make([]float64, n)
-		for i := range dist {
-			dist[i] = Inf
-		}
-		return &nearScratch{dist: dist, h: make(distHeap, 0, 64)}
-	}
+	o.scratch.New = func() any { return newNearScratch(n) }
 	o.findComponents()
 	o.pickLandmarks()
 	o.buildSketches()
@@ -273,14 +280,9 @@ func (o *Oracle) buildSketches() {
 	for w := 0; w < workers; w++ {
 		w := w
 		pool.Go(func() {
-			dist := make([]float64, n)
-			for i := range dist {
-				dist[i] = Inf
-			}
-			h := make(distHeap, 0, 64)
-			var touched []NodeID
+			sc := newNearScratch(n)
 			for u := w; u < n; u += workers {
-				sk, r := o.g.nearestInto(NodeID(u), o.cfg.BallK, dist, &touched, &h)
+				sk, r := o.g.nearestInto(NodeID(u), o.cfg.BallK, sc.dist, &sc.touched, &sc.h)
 				o.sketch[u] = sk
 				o.rsketch[u] = r
 			}
@@ -328,9 +330,13 @@ func (g *Graph) nearestInto(src NodeID, k int, dist []float64, touched *[]NodeID
 	for _, u := range *touched {
 		dist[u] = Inf
 	}
-	sort.Slice(settled, func(i, j int) bool { return settled[i].Node < settled[j].Node })
+	slices.SortFunc(settled, byNode)
 	return settled, radius
 }
+
+// byNode orders neighbors by ascending node ID; IDs are unique, so the
+// order is total.
+func byNode(a, b Neighbor) int { return cmp.Compare(a.Node, b.Node) }
 
 // withinInto settles every node within distance r of src (exact,
 // output-sensitive: the search never leaves the ball). dist must be
@@ -361,7 +367,7 @@ func (g *Graph) withinInto(src NodeID, r float64, dist []float64, touched *[]Nod
 	for _, u := range *touched {
 		dist[u] = Inf
 	}
-	sort.Slice(settled, func(i, j int) bool { return settled[i].Node < settled[j].Node })
+	slices.SortFunc(settled, byNode)
 	return settled
 }
 
@@ -404,7 +410,8 @@ func (g *Graph) withinCount(src NodeID, r float64, dist []float64, touched *[]No
 
 // computeStretch derives the published bound. For any pair answered by a
 // sketch the estimate is exact. A pair (u,v) answered by landmarks has
-// v outside u's sketch, so exact > rsketch[u], while the triangle route
+// v outside u's sketch, so exact ≥ rsketch[u] (nearestInto can leave
+// nodes tied at the radius out of the sketch), while the triangle route
 // through u's nearest landmark overshoots by at most 2·rland[u]; hence
 // est/exact ≤ 1 + 2·rland[u]/rsketch[u], and the maximum of that ratio
 // over nodes with truncated sketches bounds every estimated pair.
@@ -462,6 +469,11 @@ func (o *Oracle) sketchDist(u, v NodeID) (float64, bool) {
 // min_l d(u,l)+d(l,v). Cross-component pairs return +Inf. It panics on
 // out-of-range nodes, like Metric.Dist.
 //
+// The pair is looked up in (lower ID, higher ID) order: on weighted
+// graphs the two endpoints' sketches sum a path's weights from opposite
+// ends and can disagree in the last bit, and the contract promises exact
+// symmetry.
+//
 //motlint:hotpath
 func (o *Oracle) Dist(u, v NodeID) float64 {
 	if !o.g.valid(u) || !o.g.valid(v) {
@@ -469,6 +481,9 @@ func (o *Oracle) Dist(u, v NodeID) float64 {
 	}
 	if u == v {
 		return 0
+	}
+	if v < u {
+		u, v = v, u
 	}
 	if d, ok := o.sketchDist(u, v); ok {
 		return d

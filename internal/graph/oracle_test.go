@@ -427,16 +427,21 @@ func TestOracleBallSizeMatchesNear(t *testing.T) {
 // TestOracleHotPathZeroAllocs pins the //motlint:hotpath contract
 // dynamically: Dist and BallSize (sketch path and pooled-scratch
 // fallback alike) allocate nothing per call once the scratch pool has
-// warmed to the working ball size.
+// warmed to the working ball size, and neither does a PairSearch.Dist on
+// far pairs once its scratch has warmed to the largest search.
 func TestOracleHotPathZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the pin runs in the plain tier")
 	}
 	g := Grid(12, 12)
 	o := smallOracle(g, 5, 1)
+	ps := NewPairSearch(g)
 	n := g.N()
 	diam := o.Diameter()
 	o.BallSize(0, diam) // warm the pooled scratch to the largest ball
+	for u := 0; u < n; u++ {
+		ps.Dist(NodeID(u), NodeID(n-1-u)) // warm the search on every far pair below
+	}
 	i := 0
 	if allocs := testing.AllocsPerRun(200, func() {
 		u := NodeID(i % n)
@@ -444,8 +449,119 @@ func TestOracleHotPathZeroAllocs(t *testing.T) {
 		_ = o.Dist(u, v)
 		_ = o.BallSize(u, 0.5)  // sketch path
 		_ = o.BallSize(u, diam) // bounded-Dijkstra fallback
+		_ = ps.Dist(u, NodeID(n-1)-u)
 		i++
 	}); allocs != 0 {
-		t.Fatalf("oracle Dist/BallSize allocate %v per op, want 0", allocs)
+		t.Fatalf("oracle Dist/BallSize and PairSearch.Dist allocate %v per op, want 0", allocs)
 	}
+}
+
+// decodeFuzzGraph turns fuzz input into a small weighted graph: byte 0
+// seeds the oracle, byte 1 sizes the graph (1 + b mod 48 nodes), and
+// each following triple (a, b, c) adds the edge {a mod n, b mod n} with
+// weight (c mod 255 + 1)·16/255 ∈ (0, 16]. Self loops and duplicates
+// are skipped, so any input decodes; most leave the graph disconnected.
+func decodeFuzzGraph(data []byte) (*Graph, int64, bool) {
+	if len(data) < 2 {
+		return nil, 0, false
+	}
+	n := 1 + int(data[1])%48
+	g := New(n)
+	for i := 2; i+2 < len(data); i += 3 {
+		u, v := NodeID(int(data[i])%n), NodeID(int(data[i+1])%n)
+		if u == v || g.HasEdge(u, v) {
+			continue
+		}
+		g.MustAddEdge(u, v, float64(int(data[i+2])%255+1)*16/255)
+	}
+	return g, int64(data[0]), true
+}
+
+// encodeFuzzGraph is decodeFuzzGraph's inverse up to weight rounding,
+// for seeding the corpus from the generator families.
+func encodeFuzzGraph(g *Graph, seed byte) []byte {
+	data := []byte{seed, byte(g.N() - 1)}
+	for _, e := range g.Edges() {
+		c := math.Max(0, math.Min(254, math.Round(e.Weight*255/16)-1))
+		data = append(data, byte(e.From), byte(e.To), byte(c))
+	}
+	return data
+}
+
+// FuzzOracleSandwich checks the DistanceOracle contract on fuzzed small
+// weighted graphs against PairSearch's exact distances: for every pair,
+// exact ≤ Dist ≤ Stretch()·exact, Dist is +Inf exactly when the exact
+// distance is, and Dist is symmetric; Near(u, r) is the exact ball for
+// radii inside and outside u's sketch radius. The seed corpus (the four
+// family shapes plus a disconnected graph) runs under go test; longer
+// fuzzing is opt-in:
+//
+//	go test ./internal/graph -run '^$' -fuzz FuzzOracleSandwich -fuzztime 1m
+func FuzzOracleSandwich(f *testing.F) {
+	for i, g := range []*Graph{
+		Grid(6, 8),
+		RandomGeometric(40, 4.3, 1.2, rand.New(rand.NewSource(61))),
+		RandomTree(48, rand.New(rand.NewSource(62))),
+		WeightedRing(40, 7),
+		rescaled(Grid(6, 8), 0.3, rand.New(rand.NewSource(65))),
+	} {
+		f.Add(encodeFuzzGraph(g, byte(i)))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, seed, ok := decodeFuzzGraph(data)
+		if !ok {
+			return
+		}
+		n := g.N()
+		o := smallOracle(g, seed, 1)
+		s := o.Stretch()
+		ps := NewPairSearch(g)
+		exact := make([][]float64, n)
+		for u := range exact {
+			exact[u] = make([]float64, n)
+			for v := range exact[u] {
+				exact[u][v] = ps.Dist(NodeID(u), NodeID(v))
+			}
+		}
+		for u := 0; u < n; u++ {
+			far := 0.0
+			for v, ex := range exact[u] {
+				est := o.Dist(NodeID(u), NodeID(v))
+				if math.IsInf(ex, 1) != math.IsInf(est, 1) {
+					t.Fatalf("(%d,%d): exact=%v est=%v infinity mismatch", u, v, ex, est)
+				}
+				if back := o.Dist(NodeID(v), NodeID(u)); back != est {
+					t.Fatalf("(%d,%d): asymmetric %v vs %v", u, v, est, back)
+				}
+				if math.IsInf(ex, 1) {
+					continue
+				}
+				if est < ex-eps*(1+ex) || est > s*ex+eps*(1+ex) {
+					t.Fatalf("(%d,%d): est %v outside [%v, %v·%v]", u, v, est, ex, s, ex)
+				}
+				far = math.Max(far, ex)
+			}
+			radii := []float64{0, 1, far / 2, far, far + 1}
+			if r := o.rsketch[u]; !math.IsInf(r, 1) {
+				radii = append(radii, r/2, r, 1.5*r)
+			}
+			for _, r := range radii {
+				var want []Neighbor
+				for v, ex := range exact[u] {
+					if ex <= r {
+						want = append(want, Neighbor{Node: NodeID(v), D: ex})
+					}
+				}
+				got := o.Near(NodeID(u), r)
+				if len(got) != len(want) {
+					t.Fatalf("Near(%d,%v): %d nodes, exact ball has %d", u, r, len(got), len(want))
+				}
+				for j := range want {
+					if got[j].Node != want[j].Node || math.Abs(got[j].D-want[j].D) > eps*(1+want[j].D) {
+						t.Fatalf("Near(%d,%v)[%d] = %+v, exact %+v", u, r, j, got[j], want[j])
+					}
+				}
+			}
+		}
+	})
 }

@@ -118,6 +118,79 @@ func (g *Graph) dijkstraInto(src NodeID, dist []float64, parent []NodeID, h *dis
 	}
 }
 
+// PairSearch answers exact point-to-point distances: a Dijkstra from u
+// that stops as soon as v settles. Its scratch is reused across calls
+// and restored through the touched list, so a search pays for the nodes
+// it reaches, never for an O(n) reset, and a warmed search allocates
+// nothing. This is what keeps sampled exact audits affordable at sizes
+// where an n×n table, or even a cache of full rows, is not.
+//
+// Dist(u, v) equals g.Dijkstra(u).Dist[v] bit for bit: labels pop in
+// nondecreasing order and fl(d+w) ≥ d for w ≥ 0, so a popped label never
+// changes, and until v pops the early-exit run makes exactly the pops
+// and relaxations of the full one.
+//
+// A PairSearch is not safe for concurrent use.
+type PairSearch struct {
+	g  *Graph
+	sc *nearScratch
+}
+
+// NewPairSearch returns a point-to-point search over g, with O(n)
+// scratch. The graph must not be mutated afterwards.
+func NewPairSearch(g *Graph) *PairSearch {
+	return &PairSearch{g: g, sc: newNearScratch(g.N())}
+}
+
+// Dist returns the exact shortest-path distance from u to v: 0 when
+// u == v and +Inf when v is unreachable. It panics on out-of-range
+// nodes, like Metric.Dist.
+//
+//motlint:hotpath
+func (p *PairSearch) Dist(u, v NodeID) float64 {
+	g, sc := p.g, p.sc
+	if !g.valid(u) || !g.valid(v) {
+		panic(fmt.Sprintf("graph: PairSearch.Dist(%d, %d) out of range for n=%d", u, v, g.n))
+	}
+	if u == v {
+		return 0
+	}
+	dist := sc.dist
+	sc.touched = sc.touched[:0]
+	sc.h = sc.h[:0]
+	dist[u] = 0
+	//motlint:ignore hotalloc reused scratch grows once to the largest search
+	sc.touched = append(sc.touched, u)
+	//motlint:ignore hotalloc reused heap grows once to the largest search
+	sc.h.push(distItem{node: u, d: 0})
+	d := Inf
+	for len(sc.h) > 0 {
+		it := sc.h.pop()
+		if it.d > dist[it.node] {
+			continue // stale entry
+		}
+		if it.node == v {
+			d = it.d
+			break
+		}
+		for _, e := range g.adj[it.node] {
+			if nd := it.d + e.w; nd < dist[e.to] {
+				if dist[e.to] == Inf {
+					//motlint:ignore hotalloc reused scratch grows once to the largest search
+					sc.touched = append(sc.touched, e.to)
+				}
+				dist[e.to] = nd
+				//motlint:ignore hotalloc reused heap grows once to the largest search
+				sc.h.push(distItem{node: e.to, d: nd})
+			}
+		}
+	}
+	for _, x := range sc.touched {
+		dist[x] = Inf
+	}
+	return d
+}
+
 // PathTo reconstructs the shortest path from the SSSP source to v, inclusive
 // of both endpoints. It returns nil if v is unreachable.
 func (s *SSSP) PathTo(v NodeID) []NodeID {

@@ -181,6 +181,65 @@ func TestRowSharedNotCopied(t *testing.T) {
 	}
 }
 
+// rescaled copies g with every edge weight multiplied by a random
+// non-integer factor in [0.3, 3.3), dropping each edge with probability
+// drop, so labels carry rounding and the copy may split into components.
+func rescaled(g *Graph, drop float64, rng *rand.Rand) *Graph {
+	out := New(g.N())
+	for _, e := range g.Edges() {
+		if rng.Float64() < drop {
+			continue
+		}
+		out.MustAddEdge(e.From, e.To, e.Weight*(0.3+3*rng.Float64()))
+	}
+	return out
+}
+
+// TestPairSearchMatchesDijkstra pins PairSearch's contract: one shared
+// search answers every (s, v) for a stride of sources, and each answer
+// has the bits of g.Dijkstra(s).Dist[v] — 0 on the diagonal and +Inf
+// across components included. Sharing the search across calls also
+// catches a touched-list restore that leaves a stale label behind.
+func TestPairSearchMatchesDijkstra(t *testing.T) {
+	fams := oracleFamilies()
+	rgg := RandomGeometric(200, 10, 1.2, rand.New(rand.NewSource(63)))
+	fams = append(fams, oracleFamily{"rgg-rescaled", rescaled(rgg, 0.4, rand.New(rand.NewSource(64)))})
+	infs := 0
+	for _, fam := range fams {
+		g := fam.g
+		ps := NewPairSearch(g)
+		for s := 0; s < g.N(); s += 7 {
+			row := g.Dijkstra(NodeID(s)).Dist
+			for v := range row {
+				got := ps.Dist(NodeID(s), NodeID(v))
+				if math.Float64bits(got) != math.Float64bits(row[v]) {
+					t.Fatalf("%s: PairSearch.Dist(%d, %d) = %v, Dijkstra %v", fam.name, s, v, got, row[v])
+				}
+				if math.IsInf(got, 1) {
+					infs++
+				}
+			}
+		}
+	}
+	if infs == 0 {
+		t.Fatal("no cross-component pair checked: the +Inf case went untested")
+	}
+}
+
+func TestPairSearchPanicsOutOfRange(t *testing.T) {
+	ps := NewPairSearch(Path(3))
+	for _, pair := range [][2]NodeID{{-1, 0}, {0, 3}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Dist(%d, %d) did not panic", pair[0], pair[1])
+				}
+			}()
+			ps.Dist(pair[0], pair[1])
+		}()
+	}
+}
+
 func BenchmarkDijkstraGrid32(b *testing.B) {
 	g := Grid(32, 32)
 	b.ReportAllocs()

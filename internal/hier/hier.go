@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 
 	"repro/internal/graph"
@@ -197,9 +196,10 @@ func BuildExcluding(g *graph.Graph, m graph.DistanceOracle, cfg Config, excluded
 // assignParentsInto computes the default parent and parent set of u in
 // V_(l+1) (the nodes flagged in member) and stores them into dp and ps,
 // replacing any previous assignment. MIS maximality puts the default
-// parent within 2^(l+1), so the 4*2^(l+1) ball contains it; Near is exact
-// and ID-ascending, matching the old sorted row scan over the upper level
-// bit for bit.
+// parent within 2^(l+1), so the 4*2^(l+1) ball contains it, and best is
+// always one of the set's members. Near is exact and ID-ascending, so the
+// set comes out ID-sorted, matching the old sorted row scan over the
+// upper level bit for bit.
 func (hs *Hierarchy) assignParentsInto(u graph.NodeID, l int, member []bool, dp map[graph.NodeID]graph.NodeID, ps map[graph.NodeID][]graph.NodeID) error {
 	psRadius := 4 * math.Pow(2, float64(l+1))
 	best, bestD := graph.Undefined, math.Inf(1)
@@ -218,17 +218,6 @@ func (hs *Hierarchy) assignParentsInto(u graph.NodeID, l int, member []bool, dp 
 		return fmt.Errorf("hier: node %d has no level-%d parent", u, l+1)
 	}
 	dp[u] = best
-	found := false
-	for _, p := range set {
-		if p == best {
-			found = true
-			break
-		}
-	}
-	if !found {
-		set = append(set, best)
-	}
-	sort.Slice(set, func(i, j int) bool { return set[i] < set[j] })
 	ps[u] = set
 	return nil
 }

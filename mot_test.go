@@ -3,6 +3,7 @@ package mot
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -190,6 +191,13 @@ func TestRunFigureFacade(t *testing.T) {
 	var buf bytes.Buffer
 	if err := RunFigure(99, 0.05, &buf); err == nil {
 		t.Fatal("unknown figure accepted")
+	}
+	// An out-of-range scale used to be replaced by 1, starting a
+	// full-scale run instead of failing.
+	for _, scale := range []float64{0, -1, math.NaN()} {
+		if err := RunFigure(8, scale, &buf); err == nil {
+			t.Fatalf("RunFigure(8, %v) accepted an out-of-range scale", scale)
+		}
 	}
 	ids := FigureIDs()
 	if len(ids) != 12 {

@@ -20,3 +20,7 @@ func buildSimpleOverlay(g *Graph, m *Metric, seed int64, sigma int) (overlay.Ove
 func errUnknownFigure(id int) error {
 	return fmt.Errorf("mot: unknown figure %d (the paper's evaluation figures are 4..15)", id)
 }
+
+func errFigureScale(scale float64) error {
+	return fmt.Errorf("mot: figure scale %v outside (0,1]", scale)
+}

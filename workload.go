@@ -137,8 +137,12 @@ func newConcurrentSim(g *Graph, m *Metric, opt ConcurrentOptions) (*concurrentSi
 
 // RunFigure regenerates one of the paper's evaluation figures (4–15),
 // writing its series to w. Scale in (0, 1] shrinks the workload (1 is the
-// paper's full setting; small scales finish in seconds).
+// paper's full setting; small scales finish in seconds); any other scale,
+// NaN included, is an error.
 func RunFigure(id int, scale float64, w io.Writer) error {
+	if !(scale > 0 && scale <= 1) {
+		return errFigureScale(scale)
+	}
 	figs := experiments.Figures(scale)
 	f, ok := figs[id]
 	if !ok {
