@@ -31,11 +31,13 @@
 // server-side p50/p99 riding along as extras — and the two oracle-tier
 // layers under the scale cell: graph/pair-dist-10000 pins a warmed
 // PairSearch.Dist on uniform pairs of the 10k grid (the sampled exact
-// audit's unit of work) at 0 allocs/op, and hier/build-10000 tracks
-// hier.Build over a prebuilt 10k sketch oracle. The build row is
-// unpinned: its allocs/op drift by a few dozen between runs, because
-// Oracle.Near draws its search scratch from a sync.Pool that GC can
-// empty.
+// audit's unit of work) at 0 allocs/op, and hier/build-10000 and
+// hier/build-16384 track hier.Build over a prebuilt sketch oracle, the
+// first with the scale harness's configuration and the second with
+// motserve's (sigma derived, so it includes the doubling estimate). The
+// build rows are unpinned: their allocs/op drift between runs, because
+// the oracle's ball searches (Oracle.Scan) draw their scratch from a
+// sync.Pool that GC can empty.
 package bench
 
 import (
@@ -280,22 +282,22 @@ func pairDist() Result {
 	return res
 }
 
-// hierBuild measures hier.Build over a prebuilt 10k-node sketch oracle,
-// with the scale harness's hierarchy configuration. The oracle is built
-// outside the timed loop, so the row isolates the hierarchy's ball
-// searches and MIS levels.
-func hierBuild() Result {
-	g := graph.NearSquareGrid(10000)
-	o := graph.NewOracle(g, graph.OracleConfig{})
+// hierBuild measures hier.Build over a prebuilt n-node sketch oracle.
+// The oracle is built outside the timed loop, so the row isolates the
+// hierarchy's ball searches and MIS levels, plus the doubling estimate
+// when cfg derives sigma.
+func hierBuild(n int, ocfg graph.OracleConfig, cfg hier.Config) Result {
+	g := graph.NearSquareGrid(n)
+	o := graph.NewOracle(g, ocfg)
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := hier.Build(g, o, hier.Config{Seed: 1, SpecialParentOffset: 2}); err != nil {
+			if _, err := hier.Build(g, o, cfg); err != nil {
 				panic(err)
 			}
 		}
 	})
-	return toResult("hier/build-10000", r, nil)
+	return toResult(fmt.Sprintf("hier/build-%d", n), r, nil)
 }
 
 // scaleCell measures one full 10k-node oracle-mode scale cell (oracle +
@@ -522,7 +524,11 @@ func Run() *Report {
 	benchmarks = append(benchmarks, off, on)
 	benchmarks = append(benchmarks, oracleBuild(1024, true)...)
 	benchmarks = append(benchmarks, oracleBuild(10000, false)...)
-	benchmarks = append(benchmarks, best(3, pairDist), hierBuild(), scaleCell(), churnCell())
+	benchmarks = append(benchmarks, best(3, pairDist),
+		// The scale harness's hierarchy, and motserve's at 16,384 sensors.
+		hierBuild(10000, graph.OracleConfig{}, hier.Config{Seed: 1, SpecialParentOffset: 2}),
+		hierBuild(16384, graph.OracleConfig{Seed: 1}, hier.Config{Seed: 1}),
+		scaleCell(), churnCell())
 	for _, class := range []string{"publish", "move", "query"} {
 		benchmarks = append(benchmarks, best(3, func() Result { return serveOps(class) }))
 	}

@@ -1,7 +1,7 @@
 package graph
 
 // Tests for the frozen flat APSP table and the disconnected-graph
-// behavior of the metric layer: the DoublingEstimate termination
+// behavior of the metric layer: the EstimateDoubling termination
 // regression, Dist range-check consistency, frozen-vs-lazy equivalence
 // (including disconnected inputs), and the lock-free zero-allocation
 // read contract.
@@ -34,14 +34,14 @@ func twoComponents(pathN, ringN int) *Graph {
 func TestDoublingEstimateDisconnected(t *testing.T) {
 	g := twoComponents(5, 4)
 	m := NewMetric(g)
-	rho := m.DoublingEstimate(0)
+	rho := EstimateDoubling(m, 0)
 	if math.IsInf(rho, 1) || math.IsNaN(rho) || rho < 0 {
-		t.Fatalf("DoublingEstimate on disconnected graph = %v, want finite non-negative", rho)
+		t.Fatalf("EstimateDoubling on disconnected graph = %v, want finite non-negative", rho)
 	}
 	// Sanity: the same components joined by an edge give a finite rho too,
 	// and the disconnected estimate stays in a plausible range.
 	if rho > 10 {
-		t.Fatalf("DoublingEstimate = %v, implausibly large for 9 nodes", rho)
+		t.Fatalf("EstimateDoubling = %v, implausibly large for 9 nodes", rho)
 	}
 }
 
@@ -232,8 +232,8 @@ func TestEmptyGraphMetric(t *testing.T) {
 	if d := m.Diameter(); d != 0 {
 		t.Fatalf("empty-graph Diameter = %v, want 0", d)
 	}
-	if rho := m.DoublingEstimate(4); rho != 0 {
-		t.Fatalf("empty-graph DoublingEstimate = %v, want 0", rho)
+	if rho := EstimateDoubling(m, 4); rho != 0 {
+		t.Fatalf("empty-graph EstimateDoubling = %v, want 0", rho)
 	}
 }
 

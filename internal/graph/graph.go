@@ -219,6 +219,27 @@ func (g *Graph) Normalize() float64 {
 	return scale
 }
 
+// IntegerWeights reports whether every edge weight is an integer and all
+// weights sum to less than 2^53. Every path length a shortest-path search
+// forms is then an integer below 2^53, which float64 holds exactly, so a
+// distance has the same bits whichever end a search starts from and in
+// whatever order it adds the edges. Grids and rings qualify; Euclidean
+// weights, as on random geometric graphs, generally do not.
+func (g *Graph) IntegerWeights() bool {
+	total := 0.0
+	for u := range g.adj {
+		for _, e := range g.adj[u] {
+			if e.w != math.Trunc(e.w) {
+				return false
+			}
+			if NodeID(u) < e.to {
+				total += e.w
+			}
+		}
+	}
+	return total < 1<<53
+}
+
 // Connected reports whether the graph is connected (true for the empty and
 // the single-node graph).
 func (g *Graph) Connected() bool {

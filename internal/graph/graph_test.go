@@ -237,6 +237,35 @@ func TestWeightedRing(t *testing.T) {
 	}
 }
 
+func TestIntegerWeights(t *testing.T) {
+	below := New(3)
+	below.MustAddEdge(0, 1, 1<<52)
+	below.MustAddEdge(1, 2, 1<<52-1)
+	at := New(3)
+	at.MustAddEdge(0, 1, 1<<52)
+	at.MustAddEdge(1, 2, 1<<52)
+	half := New(2)
+	half.MustAddEdge(0, 1, 2.5)
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+		want bool
+	}{
+		{"empty", New(0), true},
+		{"grid", Grid(5, 4), true},
+		{"ring", Ring(12), true},
+		{"weighted ring", WeightedRing(10, 100), true},
+		{"rgg", RandomGeometric(60, 10, 2.0, rand.New(rand.NewSource(42))), false},
+		{"half weight", half, false},
+		{"sum below 2^53", below, true},
+		{"sum at 2^53", at, false},
+	} {
+		if got := tc.g.IntegerWeights(); got != tc.want {
+			t.Errorf("%s: IntegerWeights = %t, want %t", tc.name, got, tc.want)
+		}
+	}
+}
+
 // Property: in any grid, HasEdge(u,v) iff Manhattan distance 1.
 func TestQuickGridAdjacency(t *testing.T) {
 	g := Grid(9, 7)

@@ -22,12 +22,16 @@ import (
 //
 //   - Dist is symmetric, zero on the diagonal, +Inf across connected
 //     components, and sandwiched by exact ≤ Dist ≤ Stretch()·exact.
-//   - Near, Ball, and BallSize are exact (never estimated): the MOT
-//     algorithm needs only hierarchy- and de Bruijn-local distances, and
-//     those local queries stay exact in every implementation; only
+//   - Near, Ball, BallSize, and Scan are exact (never estimated): the
+//     MOT algorithm needs only hierarchy- and de Bruijn-local distances,
+//     and those local queries stay exact in every implementation; only
 //     far-pair Dist may be approximate.
 //   - Near returns all v with d(u,v) ≤ r in ascending node order, with
-//     exact distances.
+//     exact distances. Scan visits the same nodes with the same
+//     distances, each once, in an order the implementation chooses; it
+//     builds no list, so a caller that folds the ball pays for no sort.
+//   - A ball never leaves u's component: at r = +Inf, Near, Ball,
+//     BallSize, and Scan cover u's component and nothing else.
 //   - Diameter is exact on *Metric; approximate implementations must
 //     return an upper bound within a factor 2 of the true diameter (+Inf
 //     for disconnected graphs either way), so callers using it only in
@@ -47,6 +51,9 @@ type DistanceOracle interface {
 	Ball(u NodeID, r float64) []NodeID
 	// BallSize returns |{v : dist(u,v) <= r}| including u itself.
 	BallSize(u NodeID, r float64) int
+	// Scan calls visit for every node within distance r of u (including
+	// u) with its exact distance, in no particular order.
+	Scan(u NodeID, r float64, visit func(Neighbor))
 	// Diameter returns the graph diameter (exact or a ≤2× upper bound —
 	// see the interface comment), +Inf when disconnected.
 	Diameter() float64
@@ -338,74 +345,42 @@ func (g *Graph) nearestInto(src NodeID, k int, dist []float64, touched *[]NodeID
 // order is total.
 func byNode(a, b Neighbor) int { return cmp.Compare(a.Node, b.Node) }
 
-// withinInto settles every node within distance r of src (exact,
-// output-sensitive: the search never leaves the ball). dist must be
-// all-+Inf on entry and is restored on exit.
-func (g *Graph) withinInto(src NodeID, r float64, dist []float64, touched *[]NodeID, h *distHeap) []Neighbor {
-	*touched = (*touched)[:0]
-	*h = (*h)[:0]
-	dist[src] = 0
-	*touched = append(*touched, src)
-	h.push(distItem{node: src, d: 0})
-	var settled []Neighbor
-	for len(*h) > 0 {
-		it := h.pop()
-		if it.d > dist[it.node] || it.d > r {
-			continue
-		}
-		settled = append(settled, Neighbor{Node: it.node, D: it.d})
-		for _, e := range g.adj[it.node] {
-			if nd := it.d + e.w; nd < dist[e.to] && nd <= r {
-				if dist[e.to] == Inf {
-					*touched = append(*touched, e.to)
-				}
-				dist[e.to] = nd
-				h.push(distItem{node: e.to, d: nd})
-			}
-		}
-	}
-	for _, u := range *touched {
-		dist[u] = Inf
-	}
-	slices.SortFunc(settled, byNode)
-	return settled
-}
-
-// withinCount is withinInto without the result list: it settles the
-// same radius-bounded ball and returns only its size. The scratch
-// appends below amortize to zero once the pooled buffers have warmed up
-// to the working ball size, which is what the BallSize bench pins.
-func (g *Graph) withinCount(src NodeID, r float64, dist []float64, touched *[]NodeID, h *distHeap) int {
-	*touched = (*touched)[:0]
-	*h = (*h)[:0]
+// within calls visit, in settle order, for every node within distance r
+// of src with its exact distance: a Dijkstra that never leaves the ball,
+// so it costs its output. sc.dist must be all-+Inf on entry and is
+// restored on exit. The scratch appends amortize to zero once pooled
+// buffers have warmed up to the working ball size, which is what the
+// BallSize allocation pin relies on.
+func (g *Graph) within(src NodeID, r float64, sc *nearScratch, visit func(Neighbor)) {
+	dist := sc.dist
+	sc.touched = sc.touched[:0]
+	sc.h = sc.h[:0]
 	dist[src] = 0
 	//motlint:ignore hotalloc pooled scratch grows once to the working ball size
-	*touched = append(*touched, src)
+	sc.touched = append(sc.touched, src)
 	//motlint:ignore hotalloc pooled heap grows once to the working ball size
-	h.push(distItem{node: src, d: 0})
-	count := 0
-	for len(*h) > 0 {
-		it := h.pop()
+	sc.h.push(distItem{node: src, d: 0})
+	for len(sc.h) > 0 {
+		it := sc.h.pop()
 		if it.d > dist[it.node] || it.d > r {
 			continue
 		}
-		count++
+		visit(Neighbor{Node: it.node, D: it.d})
 		for _, e := range g.adj[it.node] {
 			if nd := it.d + e.w; nd < dist[e.to] && nd <= r {
 				if dist[e.to] == Inf {
 					//motlint:ignore hotalloc pooled scratch grows once to the working ball size
-					*touched = append(*touched, e.to)
+					sc.touched = append(sc.touched, e.to)
 				}
 				dist[e.to] = nd
 				//motlint:ignore hotalloc pooled heap grows once to the working ball size
-				h.push(distItem{node: e.to, d: nd})
+				sc.h.push(distItem{node: e.to, d: nd})
 			}
 		}
 	}
-	for _, u := range *touched {
+	for _, u := range sc.touched {
 		dist[u] = Inf
 	}
-	return count
 }
 
 // computeStretch derives the published bound. For any pair answered by a
@@ -500,36 +475,39 @@ func (o *Oracle) Dist(u, v NodeID) float64 {
 	return best
 }
 
-// near answers Near/Ball/BallSize: the sketch when it provably covers
-// radius r, otherwise an on-demand radius-bounded Dijkstra (transient,
-// output-sensitive — never an n-sized row).
-func (o *Oracle) near(u NodeID, r float64) []Neighbor {
+// Scan visits every node within distance r of u with its exact
+// distance: the sketch's entries when the sketch provably covers radius
+// r, otherwise the nodes an on-demand radius-bounded Dijkstra settles
+// (pooled scratch, output-sensitive — never an n-sized row).
+func (o *Oracle) Scan(u NodeID, r float64, visit func(Neighbor)) {
 	if !o.g.valid(u) {
-		panic(fmt.Sprintf("graph: Near(%d) out of range for n=%d", u, o.g.N()))
+		panic(fmt.Sprintf("graph: ball around %d out of range for n=%d", u, o.g.N()))
 	}
 	if r < o.rsketch[u] {
-		sk := o.sketch[u]
-		out := make([]Neighbor, 0, len(sk))
-		for _, nb := range sk {
+		for _, nb := range o.sketch[u] {
 			if nb.D <= r {
-				out = append(out, nb)
+				visit(nb)
 			}
 		}
-		return out
+		return
 	}
 	sc := o.scratch.Get().(*nearScratch)
-	out := o.g.withinInto(u, r, sc.dist, &sc.touched, &sc.h)
+	o.g.within(u, r, sc, visit)
 	o.scratch.Put(sc)
-	return out
 }
 
 // Near returns every node within distance r of u with its exact
 // distance, ascending by node ID.
-func (o *Oracle) Near(u NodeID, r float64) []Neighbor { return o.near(u, r) }
+func (o *Oracle) Near(u NodeID, r float64) []Neighbor {
+	var out []Neighbor
+	o.Scan(u, r, func(nb Neighbor) { out = append(out, nb) })
+	slices.SortFunc(out, byNode)
+	return out
+}
 
 // Ball returns the nodes within distance r of u (including u).
 func (o *Oracle) Ball(u NodeID, r float64) []NodeID {
-	nbs := o.near(u, r)
+	nbs := o.Near(u, r)
 	out := make([]NodeID, len(nbs))
 	for i, nb := range nbs {
 		out[i] = nb.Node
@@ -538,28 +516,13 @@ func (o *Oracle) Ball(u NodeID, r float64) []NodeID {
 }
 
 // BallSize returns |{v : dist(u,v) <= r}| including u itself. Unlike
-// Near it never materializes the neighbor list: the sketch path counts
-// in place and the fallback runs a count-only bounded Dijkstra on
-// pooled scratch, so per-level ball sizing in the tracking hot loops
-// stays allocation-free.
+// Near it never materializes the neighbor list, so it allocates nothing
+// once the pooled scratch has warmed up.
 //
 //motlint:hotpath
 func (o *Oracle) BallSize(u NodeID, r float64) int {
-	if !o.g.valid(u) {
-		panic(fmt.Sprintf("graph: BallSize(%d) out of range for n=%d", u, o.g.N()))
-	}
-	if r < o.rsketch[u] {
-		c := 0
-		for _, nb := range o.sketch[u] {
-			if nb.D <= r {
-				c++
-			}
-		}
-		return c
-	}
-	sc := o.scratch.Get().(*nearScratch)
-	c := o.g.withinCount(u, r, sc.dist, &sc.touched, &sc.h)
-	o.scratch.Put(sc)
+	c := 0
+	o.Scan(u, r, func(Neighbor) { c++ })
 	return c
 }
 
@@ -601,13 +564,20 @@ func (o *Oracle) Diameter() float64 {
 	return o.diam
 }
 
-// EstimateDoubling is Metric.DoublingEstimate generalized to any
-// DistanceOracle: the max over sampled centers and doubling radii of
-// log2(|B(u,2r)|/|B(u,r)|). Ball sizes are exact on every implementation,
-// so the estimate matches the exact metric's; on an *Oracle, Diameter is
-// its ≤2× upper bound, which only extends the radius sweep (adding
-// iterations where the ball already covers the component, which the
-// break below skips). samples <= 0 probes every node.
+// EstimateDoubling returns an empirical estimate of the doubling
+// dimension rho of o's metric: the max over sampled centers u and radii
+// r = 1, 2, 4, … of log2(|B(u,2r)|/|B(u,r)|), a standard proxy used to
+// size hierarchy constants. samples limits the centers probed (<= 0
+// means all). Ball sizes are exact on every implementation, so every
+// oracle of one graph gives the same estimate.
+//
+// Each radius's larger ball is the next radius's smaller one, so each
+// ball is sized once. A center's sweep stops once its ball covers the
+// whole graph, or when r passes the diameter or leaves the finite range.
+// An *Oracle's Diameter is a ≤2× upper bound, which only adds rounds
+// whose balls already cover the graph. A disconnected graph has an +Inf
+// diameter: its sweeps run to the largest finite radius, and since balls
+// never leave a component, the unreachable remainder never counts.
 func EstimateDoubling(o DistanceOracle, samples int) float64 {
 	n := o.Graph().N()
 	if n == 0 {
@@ -623,17 +593,13 @@ func EstimateDoubling(o DistanceOracle, samples int) float64 {
 	maxRho := 0.0
 	diam := o.Diameter()
 	for u := 0; u < n; u += step {
-		for r := 1.0; r <= diam && r < Inf; r *= 2 {
-			b1 := o.BallSize(NodeID(u), r)
+		b1 := o.BallSize(NodeID(u), 1)
+		for r := 1.0; b1 < n && r <= diam && r < Inf; r *= 2 {
 			b2 := o.BallSize(NodeID(u), 2*r)
-			if b1 > 0 && b2 > b1 {
-				if rho := math.Log2(float64(b2) / float64(b1)); rho > maxRho {
-					maxRho = rho
-				}
+			if b2 > b1 {
+				maxRho = max(maxRho, math.Log2(float64(b2)/float64(b1)))
 			}
-			if b1 == n {
-				break
-			}
+			b1 = b2
 		}
 	}
 	return maxRho

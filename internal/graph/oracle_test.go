@@ -150,7 +150,10 @@ func TestOracleNearExact(t *testing.T) {
 
 // TestOracleDisconnected mirrors TestDoublingEstimateDisconnected for the
 // oracle path: cross-component distances are +Inf, within-component
-// queries stay exact and finite, and nothing hangs or panics.
+// queries stay exact and finite, and nothing hangs or panics. At
+// r = +Inf both implementations' balls hold u's component and nothing
+// else, so EstimateDoubling, whose last radius doubles to +Inf on a
+// disconnected graph, agrees between them.
 func TestOracleDisconnected(t *testing.T) {
 	g := New(9)
 	// Component A: path 0-1-2-3; component B: triangle 4-5-6; 7, 8 isolated.
@@ -188,6 +191,24 @@ func TestOracleDisconnected(t *testing.T) {
 	}
 	if nbs := o.Near(8, math.Inf(1)); len(nbs) != 1 || nbs[0].Node != 8 {
 		t.Fatalf("Near(isolated, +Inf) = %v", nbs)
+	}
+	compSize := []int{4, 4, 4, 4, 3, 3, 3, 1, 1}
+	inf := math.Inf(1)
+	for u, want := range compSize {
+		for _, d := range []DistanceOracle{m, o} {
+			if got := d.BallSize(NodeID(u), inf); got != want {
+				t.Fatalf("%T: BallSize(%d, +Inf) = %d, want component size %d", d, u, got, want)
+			}
+			if got := len(d.Near(NodeID(u), inf)); got != want {
+				t.Fatalf("%T: Near(%d, +Inf) holds %d nodes, want %d", d, u, got, want)
+			}
+			if got := len(d.Ball(NodeID(u), inf)); got != want {
+				t.Fatalf("%T: Ball(%d, +Inf) holds %d nodes, want %d", d, u, got, want)
+			}
+		}
+	}
+	if got, want := EstimateDoubling(m, 0), EstimateDoubling(o, 0); got != want {
+		t.Fatalf("EstimateDoubling over the Metric %v, over the Oracle %v", got, want)
 	}
 }
 
@@ -358,9 +379,9 @@ func TestOracleDiameterEdgeSemantics(t *testing.T) {
 }
 
 // TestOracleMetricInterchange pins the two implementations behind the
-// shared interface: Metric reports stretch 1, Near agrees between them,
-// and EstimateDoubling over the exact implementation reproduces
-// Metric.DoublingEstimate.
+// shared interface: Metric reports stretch 1, Near agrees with Ball and
+// BallSize, and EstimateDoubling gives the same estimate over the Metric
+// and the Oracle of one grid.
 func TestOracleMetricInterchange(t *testing.T) {
 	g := Grid(8, 8)
 	m := NewMetric(g)
@@ -368,8 +389,9 @@ func TestOracleMetricInterchange(t *testing.T) {
 	if s := exact.Stretch(); s != 1 {
 		t.Fatalf("Metric stretch = %v", s)
 	}
-	if got, want := EstimateDoubling(m, 16), m.DoublingEstimate(16); got != want {
-		t.Fatalf("EstimateDoubling %v != DoublingEstimate %v", got, want)
+	o := smallOracle(g, 3, 1)
+	if got, want := EstimateDoubling(o, 16), EstimateDoubling(m, 16); got != want || got <= 0 {
+		t.Fatalf("EstimateDoubling over the Oracle %v, over the Metric %v", got, want)
 	}
 	nbs := exact.Near(0, 2)
 	ball := exact.Ball(0, 2)

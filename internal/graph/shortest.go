@@ -454,84 +454,43 @@ func (m *Metric) Center() NodeID {
 	return best
 }
 
+// Scan visits every node within distance r of u (including u) with its
+// exact distance, in ascending node order. On a Metric this is a row
+// scan: lazy use computes (and may freeze) the row; large-n callers that
+// must avoid the n×n table use an *Oracle instead. Unreachable nodes
+// are skipped, so a ball never leaves u's component, even at r = +Inf.
+func (m *Metric) Scan(u NodeID, r float64, visit func(Neighbor)) {
+	for v, d := range m.Row(u) {
+		if d <= r && d < Inf {
+			visit(Neighbor{Node: NodeID(v), D: d})
+		}
+	}
+}
+
 // BallSize returns |{v : dist(u,v) <= r}| including u itself.
 //
 //motlint:hotpath
 func (m *Metric) BallSize(u NodeID, r float64) int {
-	row := m.Row(u)
 	c := 0
-	for _, d := range row {
-		if d <= r {
-			c++
-		}
-	}
+	m.Scan(u, r, func(Neighbor) { c++ })
 	return c
 }
 
-// Ball returns the nodes within distance r of u (including u).
+// Ball returns the nodes within distance r of u (including u),
+// ascending.
 func (m *Metric) Ball(u NodeID, r float64) []NodeID {
-	row := m.Row(u)
 	var out []NodeID
-	for v, d := range row {
-		if d <= r {
-			out = append(out, NodeID(v))
-		}
-	}
+	m.Scan(u, r, func(nb Neighbor) { out = append(out, nb.Node) })
 	return out
 }
 
 // Near returns every node within distance r of u (including u) with its
-// exact distance, sorted by ascending node ID. On a Metric this is a row
-// scan — lazy use computes (and may freeze) the row like Ball does; large-n
-// callers that must avoid the n×n table use an *Oracle instead.
+// exact distance, sorted by ascending node ID (Scan's row order).
 func (m *Metric) Near(u NodeID, r float64) []Neighbor {
-	row := m.Row(u)
 	var out []Neighbor
-	for v, d := range row {
-		if d <= r {
-			out = append(out, Neighbor{Node: NodeID(v), D: d})
-		}
-	}
+	m.Scan(u, r, func(nb Neighbor) { out = append(out, nb) })
 	return out
 }
 
 // Stretch returns 1: the Metric is exact.
 func (m *Metric) Stretch() float64 { return 1 }
-
-// DoublingEstimate returns an empirical estimate of the doubling dimension
-// rho of the graph metric: the max over sampled centers and radii of
-// log2(|B(u,2r)| / |B(u,r)|), a standard proxy used to size hierarchy
-// constants. samples limits the number of centers probed (<=0 means all).
-// Disconnected graphs have Inf diameter; the radius sweep stops once a
-// ball covers the whole graph or the radius leaves the finite range, so
-// the estimate terminates (and ignores the unreachable remainder).
-func (m *Metric) DoublingEstimate(samples int) float64 {
-	n := m.g.n
-	if n == 0 {
-		return 0
-	}
-	if samples <= 0 || samples > n {
-		samples = n
-	}
-	step := n / samples
-	if step == 0 {
-		step = 1
-	}
-	maxRho := 0.0
-	diam := m.Diameter()
-	for u := 0; u < n; u += step {
-		for r := 1.0; r <= diam && !math.IsInf(r, 1); r *= 2 {
-			b1 := m.BallSize(NodeID(u), r)
-			b2 := m.BallSize(NodeID(u), 2*r)
-			if b1 > 0 && b2 > b1 {
-				if rho := math.Log2(float64(b2) / float64(b1)); rho > maxRho {
-					maxRho = rho
-				}
-			}
-			if b1 == n {
-				break // the ball already covers every node; doubling r cannot grow it
-			}
-		}
-	}
-	return maxRho
-}

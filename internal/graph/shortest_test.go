@@ -165,7 +165,7 @@ func TestPrecomputeMatchesLazy(t *testing.T) {
 func TestDoublingEstimateGridIsBounded(t *testing.T) {
 	g := Grid(16, 16)
 	m := NewMetric(g)
-	rho := m.DoublingEstimate(16)
+	rho := EstimateDoubling(m, 16)
 	if rho <= 0 || rho > 3.5 {
 		t.Fatalf("grid doubling estimate %v outside (0, 3.5]", rho)
 	}

@@ -86,9 +86,10 @@ type Hierarchy struct {
 
 // Build constructs HS over g using the distance oracle m (which must
 // belong to g). The graph must be connected and non-empty. Every distance
-// Build consumes flows through Near — exact on both implementations — so
-// an exact-metric build and an oracle build of the same (g, cfg) produce
-// identical hierarchies, and an oracle build never touches an n×n table.
+// Build consumes comes from a ball query (Scan or Near) — exact on both
+// implementations — so an exact-metric build and an oracle build of the
+// same (g, cfg) produce identical hierarchies, and an oracle build never
+// touches an n×n table.
 func Build(g *graph.Graph, m graph.DistanceOracle, cfg Config) (*Hierarchy, error) {
 	return BuildExcluding(g, m, cfg, nil)
 }
@@ -168,38 +169,97 @@ func BuildExcluding(g *graph.Graph, m graph.DistanceOracle, cfg Config, excluded
 	hs.h = len(hs.levels) - 1
 	hs.root = hs.levels[hs.h][0]
 
-	// Parents.
-	hs.defaultParent = make([]map[graph.NodeID]graph.NodeID, hs.h)
-	hs.parentSet = make([]map[graph.NodeID][]graph.NodeID, hs.h)
-	for l := 0; l < hs.h; l++ {
-		cur, up := hs.levels[l], hs.levels[l+1]
-		dp := make(map[graph.NodeID]graph.NodeID, len(cur))
-		ps := make(map[graph.NodeID][]graph.NodeID, len(cur))
-		for _, p := range up {
-			member[p] = true
+	set := make([][]bool, len(hs.levels))
+	for l, lvl := range hs.levels {
+		set[l] = make([]bool, g.N())
+		for _, u := range lvl {
+			set[l][u] = true
 		}
-		for _, u := range cur {
-			if err := hs.assignParentsInto(u, l, member, dp, ps); err != nil {
-				return nil, err
-			}
-		}
-		hs.defaultParent[l] = dp
-		hs.parentSet[l] = ps
-		for _, p := range up {
-			member[p] = false
-		}
+	}
+	if err := hs.assignLevelParents(set); err != nil {
+		return nil, err
 	}
 	hs.deriveSigma()
 	return hs, nil
+}
+
+// assignLevelParents fills the default parents and parent sets of every
+// level below the top: each node of V_l flagged in set[l] gets its
+// parents among V_(l+1), the nodes flagged in set[l+1].
+//
+// When the graph's path sums are exact (graph.IntegerWeights), it runs
+// one 4*2^(l+1) ball search per member p of V_(l+1), in ascending ID,
+// and files p under every flagged V_l node the ball reaches. V_(l+1) is
+// a fraction of V_l, so this searches far fewer balls than one per V_l
+// node. Filing in ID order leaves every set ID-sorted, and keeping only
+// a strictly closer p leaves each tie on the lowest ID, which is the
+// choice assignParentsInto makes. That search measures d(p,w) from p,
+// where assignParentsInto measures d(w,p) from w; on other weights the
+// two sums can differ in the last bit, so there each V_l node searches
+// its own ball instead. Either way a node without a parent fails the
+// build, and the error names the lowest such node.
+func (hs *Hierarchy) assignLevelParents(set [][]bool) error {
+	hs.defaultParent = make([]map[graph.NodeID]graph.NodeID, hs.h)
+	hs.parentSet = make([]map[graph.NodeID][]graph.NodeID, hs.h)
+	perUpper := hs.g.IntegerWeights()
+	var (
+		best  []graph.NodeID   // closest upper member found so far
+		bestD []float64        // its distance
+		found [][]graph.NodeID // upper members found so far, ascending
+	)
+	if perUpper {
+		n := hs.g.N()
+		best, bestD, found = make([]graph.NodeID, n), make([]float64, n), make([][]graph.NodeID, n)
+	}
+	for l := 0; l < hs.h; l++ {
+		lower, upper := set[l], set[l+1]
+		dp := make(map[graph.NodeID]graph.NodeID, len(hs.levels[l]))
+		ps := make(map[graph.NodeID][]graph.NodeID, len(hs.levels[l]))
+		hs.defaultParent[l], hs.parentSet[l] = dp, ps
+		if !perUpper {
+			for _, u := range hs.levels[l] {
+				if !lower[u] {
+					continue
+				}
+				if err := hs.assignParentsInto(u, l, upper, dp, ps); err != nil {
+					return err
+				}
+			}
+			continue
+		}
+		psRadius := 4 * math.Pow(2, float64(l+1))
+		for _, p := range hs.levels[l+1] {
+			hs.m.Scan(p, psRadius, func(nb graph.Neighbor) {
+				w := nb.Node
+				if !lower[w] {
+					return
+				}
+				if len(found[w]) == 0 || nb.D < bestD[w] {
+					best[w], bestD[w] = p, nb.D
+				}
+				found[w] = append(found[w], p)
+			})
+		}
+		for _, u := range hs.levels[l] {
+			if !lower[u] {
+				continue
+			}
+			if len(found[u]) == 0 {
+				return fmt.Errorf("hier: node %d has no level-%d parent", u, l+1)
+			}
+			dp[u], ps[u] = best[u], found[u]
+			found[u] = nil
+		}
+	}
+	return nil
 }
 
 // assignParentsInto computes the default parent and parent set of u in
 // V_(l+1) (the nodes flagged in member) and stores them into dp and ps,
 // replacing any previous assignment. MIS maximality puts the default
 // parent within 2^(l+1), so the 4*2^(l+1) ball contains it, and best is
-// always one of the set's members. Near is exact and ID-ascending, so the
-// set comes out ID-sorted, matching the old sorted row scan over the
-// upper level bit for bit.
+// always one of the set's members. Near is exact and ID-ascending, so
+// the set comes out ID-sorted.
 func (hs *Hierarchy) assignParentsInto(u graph.NodeID, l int, member []bool, dp map[graph.NodeID]graph.NodeID, ps map[graph.NodeID][]graph.NodeID) error {
 	psRadius := 4 * math.Pow(2, float64(l+1))
 	best, bestD := graph.Undefined, math.Inf(1)
@@ -239,8 +299,8 @@ func (hs *Hierarchy) deriveSigma() {
 
 // levelAdjacency returns the E_l adjacency: nodes of cur within < radius.
 // member is an all-false scratch bitmap of graph size, restored on return.
-// Near is exact and ID-ascending, so the neighbor lists match the old
-// sorted row scan exactly while staying output-sensitive in oracle mode.
+// The neighbor lists come in Scan's order: mis.Luby, mis.Greedy and
+// mis.Verify do not depend on neighbor order.
 func levelAdjacency(m graph.DistanceOracle, cur []graph.NodeID, radius float64, member []bool) mis.Adjacency {
 	for _, u := range cur {
 		member[u] = true
@@ -249,11 +309,11 @@ func levelAdjacency(m graph.DistanceOracle, cur []graph.NodeID, radius float64, 
 	idx := make(map[graph.NodeID][]graph.NodeID, len(cur))
 	for _, u := range cur {
 		var nbr []graph.NodeID
-		for _, nb := range m.Near(u, radius) {
+		m.Scan(u, radius, func(nb graph.Neighbor) {
 			if nb.Node != u && nb.D < radius && member[nb.Node] {
 				nbr = append(nbr, nb.Node)
 			}
-		}
+		})
 		idx[u] = nbr
 	}
 	for _, u := range cur {

@@ -2,6 +2,8 @@ package hier
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -401,5 +403,76 @@ func TestBuildRejectsTwoNontrivialComponents(t *testing.T) {
 	g.MustAddEdge(4, 5, 1)
 	if _, err := Build(g, graph.NewMetric(g), Config{Seed: 1, SpecialParentOffset: 2}); err == nil {
 		t.Fatal("two-component graph accepted")
+	}
+}
+
+// TestParentsMatchPerNodeSearch holds Build's parents to the per-node
+// reference: for every level and live node, DefaultParent and ParentSet
+// equal what assignParentsInto finds searching that node's own ball. The
+// integer-weight substrates take the one-search-per-upper-member path, in
+// Luby and incremental mode, on the exact metric and on a small-sketch
+// oracle (so balls come both from sketches and from bounded searches).
+// The random geometric graph's Euclidean weights keep it on the per-node
+// path.
+func TestParentsMatchPerNodeSearch(t *testing.T) {
+	weightedRing := graph.New(40)
+	for i := 0; i < 40; i++ {
+		weightedRing.MustAddEdge(graph.NodeID(i), graph.NodeID((i+1)%40), float64(1+i*7%3))
+	}
+	for _, tc := range []struct {
+		name     string
+		g        *graph.Graph
+		excluded []graph.NodeID
+		perUpper bool
+	}{
+		{"grid", graph.Grid(13, 11), []graph.NodeID{0, 17, 70}, true},
+		{"ring", graph.Ring(50), []graph.NodeID{3, 4}, true},
+		{"weighted ring", weightedRing, []graph.NodeID{9}, true},
+		{"rgg", graph.RandomGeometric(120, 9, 1.6, rand.New(rand.NewSource(5))), []graph.NodeID{1, 60}, false},
+	} {
+		if got := tc.g.IntegerWeights(); got != tc.perUpper {
+			t.Fatalf("%s: IntegerWeights = %t, want %t", tc.name, got, tc.perUpper)
+		}
+		oracles := []graph.DistanceOracle{
+			graph.NewMetric(tc.g),
+			graph.NewOracle(tc.g, graph.OracleConfig{Landmarks: 4, BallK: 9, Seed: 3}),
+		}
+		for _, m := range oracles {
+			for _, incremental := range []bool{false, true} {
+				var excluded []graph.NodeID
+				if incremental {
+					excluded = tc.excluded
+				}
+				cfg := Config{Seed: 2, SpecialParentOffset: 2, Incremental: incremental}
+				hs, err := BuildExcluding(tc.g, m, cfg, excluded)
+				if err != nil {
+					t.Fatalf("%s %T incremental=%t: %v", tc.name, m, incremental, err)
+				}
+				for l := 0; l < hs.Height(); l++ {
+					upper := make([]bool, tc.g.N())
+					for _, p := range hs.LevelNodes(l + 1) {
+						upper[p] = true
+					}
+					dp := map[graph.NodeID]graph.NodeID{}
+					ps := map[graph.NodeID][]graph.NodeID{}
+					for _, u := range hs.LevelNodes(l) {
+						got, ok := hs.DefaultParent(u, l)
+						if hs.IsExcluded(u) {
+							if ok {
+								t.Fatalf("%s %T: excluded node %d has a level-%d parent", tc.name, m, u, l+1)
+							}
+							continue
+						}
+						if err := hs.assignParentsInto(u, l, upper, dp, ps); err != nil {
+							t.Fatal(err)
+						}
+						if !ok || got != dp[u] || !slices.Equal(hs.ParentSet(u, l), ps[u]) {
+							t.Fatalf("%s %T incremental=%t: node %d level %d: parents (%d, %v), per-node search (%d, %v)",
+								tc.name, m, incremental, u, l, got, hs.ParentSet(u, l), dp[u], ps[u])
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -128,23 +128,8 @@ func (hs *Hierarchy) buildIncremental() error {
 		}
 	}
 
-	hs.defaultParent = make([]map[graph.NodeID]graph.NodeID, hs.h)
-	hs.parentSet = make([]map[graph.NodeID][]graph.NodeID, hs.h)
-	for l := 0; l < hs.h; l++ {
-		dp := make(map[graph.NodeID]graph.NodeID, len(hs.levels[l]))
-		ps := make(map[graph.NodeID][]graph.NodeID, len(hs.levels[l]))
-		for _, u := range hs.levels[l] {
-			if hs.isExcluded(u) {
-				continue
-			}
-			if err := hs.assignParentsInto(u, l, hs.levelSet[l+1], dp, ps); err != nil {
-				return err
-			}
-		}
-		hs.defaultParent[l] = dp
-		hs.parentSet[l] = ps
-	}
-	return nil
+	// levelSet[0] is the live set, so excluded nodes get no parents.
+	return hs.assignLevelParents(hs.levelSet)
 }
 
 // extendLevels grows the level sequence by greedy MIS until the top level
