@@ -6,15 +6,19 @@
 // Usage:
 //
 //	motablate -grid 16x16 -objects 20 -moves 200
+//
+// Malformed flags, a bad -grid, fewer than one object, a negative move or
+// query count, and stray arguments exit 2.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 
 	mot "repro"
+	"repro/internal/graph"
 )
 
 type variant struct {
@@ -23,25 +27,46 @@ type variant struct {
 }
 
 func main() {
-	gridSpec := flag.String("grid", "16x16", "grid dimensions WxH")
-	objects := flag.Int("objects", 20, "number of objects")
-	moves := flag.Int("moves", 200, "moves per object")
-	queries := flag.Int("queries", 200, "queries")
-	seed := flag.Int64("seed", 7, "workload and overlay seed")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	var w, h int
-	if _, err := fmt.Sscanf(strings.ToLower(*gridSpec), "%dx%d", &w, &h); err != nil {
-		fmt.Fprintf(os.Stderr, "motablate: invalid -grid %q\n", *gridSpec)
-		os.Exit(2)
+func run(argv []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("motablate", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	gridSpec := fs.String("grid", "16x16", "grid dimensions WxH")
+	objects := fs.Int("objects", 20, "number of objects (at least 1)")
+	moves := fs.Int("moves", 200, "moves per object")
+	queries := fs.Int("queries", 200, "queries")
+	seed := fs.Int64("seed", 7, "workload and overlay seed")
+	if err := fs.Parse(argv); err != nil {
+		return 2
 	}
+	usage := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "motablate: "+format+"\n", args...)
+		fs.Usage()
+		return 2
+	}
+	w, h, ok := graph.ParseGrid(*gridSpec)
+	switch {
+	case fs.NArg() != 0:
+		return usage("unexpected arguments %q", fs.Args())
+	case !ok:
+		return usage("invalid -grid %q: want WxH with W, H >= 1", *gridSpec)
+	case *objects < 1:
+		return usage("-objects %d: want at least 1", *objects)
+	case *moves < 0:
+		return usage("-moves %d: want at least 0", *moves)
+	case *queries < 0:
+		return usage("-queries %d: want at least 0", *queries)
+	}
+
 	g := mot.Grid(w, h)
 	m := mot.NewMetric(g)
 	wl, err := mot.GenerateWorkload(g, m, mot.WorkloadConfig{
 		Objects: *objects, MovesPerObject: *moves, Queries: *queries, Seed: *seed,
 	})
 	if err != nil {
-		fatal(err)
+		return fatal(stderr, err)
 	}
 
 	variants := []variant{
@@ -53,17 +78,17 @@ func main() {
 		{"general overlay (§6)", mot.Options{GeneralOverlay: true, SpecialParentOffset: 2}},
 	}
 
-	fmt.Printf("grid %dx%d, %d objects, %d moves/object, %d queries\n\n", w, h, *objects, *moves, *queries)
-	fmt.Printf("%-36s %12s %12s %12s %12s %10s\n",
+	fmt.Fprintf(stdout, "grid %dx%d, %d objects, %d moves/object, %d queries\n\n", w, h, *objects, *moves, *queries)
+	fmt.Fprintf(stdout, "%-36s %12s %12s %12s %12s %10s\n",
 		"variant", "maint ratio", "query ratio", "sdl cost", "lb cost", "max load")
 	for _, v := range variants {
 		tr, err := mot.NewTrackerWithMetric(g, m, v.opt)
 		if err != nil {
-			fatal(err)
+			return fatal(stderr, err)
 		}
 		meter, err := mot.Replay(tr, wl)
 		if err != nil {
-			fatal(err)
+			return fatal(stderr, err)
 		}
 		load := tr.LoadByNode()
 		maxLoad := 0
@@ -72,24 +97,25 @@ func main() {
 				maxLoad = c
 			}
 		}
-		fmt.Printf("%-36s %12.2f %12.2f %12.0f %12.0f %10d\n",
+		fmt.Fprintf(stdout, "%-36s %12.2f %12.2f %12.0f %12.0f %10d\n",
 			v.name, meter.MaintMeanRatio(), meter.QueryMeanRatio(),
 			meter.SpecialCost, meter.LBRouteCost, maxLoad)
 	}
 
 	// Concurrent period-gate comparison on the same workload.
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	for _, on := range []bool{false, true} {
 		res, err := mot.RunConcurrent(g, wl, mot.ConcurrentOptions{Seed: *seed, PeriodSync: on})
 		if err != nil {
-			fatal(err)
+			return fatal(stderr, err)
 		}
-		fmt.Printf("concurrent, period gate %-5t: maint ratio %6.2f, query ratio %6.2f\n",
+		fmt.Fprintf(stdout, "concurrent, period gate %-5t: maint ratio %6.2f, query ratio %6.2f\n",
 			on, res.Meter.MaintMeanRatio(), res.Meter.QueryMeanRatio())
 	}
+	return 0
 }
 
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "motablate: %v\n", err)
-	os.Exit(1)
+func fatal(stderr io.Writer, err error) int {
+	fmt.Fprintf(stderr, "motablate: %v\n", err)
+	return 1
 }

@@ -18,10 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/graph"
 	"repro/internal/hier"
@@ -64,7 +61,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 		g = graph.Ring(*ring)
 	} else {
-		w, h, ok := parseGrid(*gridSpec)
+		w, h, ok := graph.ParseGrid(*gridSpec)
 		if !ok {
 			return usage("invalid -grid %q: want WxH with W, H >= 1", *gridSpec)
 		}
@@ -123,22 +120,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintln(stdout, "invariants: ok")
 	return 0
-}
-
-// parseGrid parses "WxH" (case-insensitive x) into two sides of at least
-// one sensor whose product fits an int; any other text, including
-// trailing characters, fails.
-func parseGrid(spec string) (w, h int, ok bool) {
-	ws, hs, found := strings.Cut(strings.ToLower(spec), "x")
-	if !found {
-		return 0, 0, false
-	}
-	w, errW := strconv.Atoi(ws)
-	h, errH := strconv.Atoi(hs)
-	if errW != nil || errH != nil || w < 1 || h < 1 || w > math.MaxInt/h {
-		return 0, 0, false
-	}
-	return w, h, true
 }
 
 func fatal(stderr io.Writer, err error) int {

@@ -8,15 +8,18 @@
 //
 //	mottrace -grid 16x16 -objects 100 -moves 1000
 //	mottrace -grid 8x8 -model waypoint -json trace.json
+//
+// Malformed flags, a bad -grid or -model, fewer than one object, a
+// negative move or query count, and stray arguments exit 2.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
-	"strings"
 
 	"repro/internal/graph"
 	"repro/internal/mobility"
@@ -24,35 +27,47 @@ import (
 )
 
 func main() {
-	gridSpec := flag.String("grid", "16x16", "grid dimensions WxH")
-	objects := flag.Int("objects", 100, "number of mobile objects")
-	moves := flag.Int("moves", 1000, "maintenance operations per object")
-	queries := flag.Int("queries", 100, "number of queries")
-	model := flag.String("model", "walk", "mobility model: walk or waypoint")
-	seed := flag.Int64("seed", 1, "workload seed")
-	jsonOut := flag.String("json", "", "write the full trace as JSON to this file")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	var w, h int
-	if _, err := fmt.Sscanf(strings.ToLower(*gridSpec), "%dx%d", &w, &h); err != nil {
-		fmt.Fprintf(os.Stderr, "mottrace: invalid -grid %q\n", *gridSpec)
-		os.Exit(2)
+func run(argv []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mottrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	gridSpec := fs.String("grid", "16x16", "grid dimensions WxH")
+	objects := fs.Int("objects", 100, "number of mobile objects (at least 1)")
+	moves := fs.Int("moves", 1000, "maintenance operations per object")
+	queries := fs.Int("queries", 100, "number of queries")
+	model := fs.String("model", "walk", "mobility model: walk or waypoint")
+	seed := fs.Int64("seed", 1, "workload seed")
+	jsonOut := fs.String("json", "", "write the full trace as JSON to this file")
+	if err := fs.Parse(argv); err != nil {
+		return 2
 	}
+	usage := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "mottrace: "+format+"\n", args...)
+		fs.Usage()
+		return 2
+	}
+	models := map[string]mobility.Model{"walk": mobility.RandomWalk, "waypoint": mobility.RandomWaypoint}
+	w, h, ok := graph.ParseGrid(*gridSpec)
+	mdl, known := models[*model]
+	switch {
+	case fs.NArg() != 0:
+		return usage("unexpected arguments %q", fs.Args())
+	case !ok:
+		return usage("invalid -grid %q: want WxH with W, H >= 1", *gridSpec)
+	case !known:
+		return usage("unknown -model %q: want walk or waypoint", *model)
+	case *objects < 1:
+		return usage("-objects %d: want at least 1", *objects)
+	case *moves < 0:
+		return usage("-moves %d: want at least 0", *moves)
+	case *queries < 0:
+		return usage("-queries %d: want at least 0", *queries)
+	}
+
 	g := graph.Grid(w, h)
-	m := graph.NewMetric(g)
-
-	var mdl mobility.Model
-	switch *model {
-	case "walk":
-		mdl = mobility.RandomWalk
-	case "waypoint":
-		mdl = mobility.RandomWaypoint
-	default:
-		fmt.Fprintf(os.Stderr, "mottrace: unknown model %q\n", *model)
-		os.Exit(2)
-	}
-
-	wl, err := mobility.Generate(g, m, mobility.Config{
+	wl, err := mobility.Generate(g, graph.NewMetric(g), mobility.Config{
 		Objects:        *objects,
 		MovesPerObject: *moves,
 		Queries:        *queries,
@@ -60,11 +75,10 @@ func main() {
 		Seed:           *seed,
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mottrace: %v\n", err)
-		os.Exit(1)
+		return fatal(stderr, err)
 	}
 
-	fmt.Printf("grid %dx%d (%d sensors), %d objects, %d moves, %d queries, model %s\n",
+	fmt.Fprintf(stdout, "grid %dx%d (%d sensors), %d objects, %d moves, %d queries, model %s\n",
 		w, h, g.N(), wl.Objects, len(wl.Moves), len(wl.Queries), *model)
 
 	rates := wl.DetectionRates(g)
@@ -74,7 +88,7 @@ func main() {
 	}
 	sort.Float64s(vals)
 	s := stats.Summarize(vals)
-	fmt.Printf("detection rates over %d of %d edges: mean %.1f, p50 %.0f, p95 %.0f, max %.0f\n",
+	fmt.Fprintf(stdout, "detection rates over %d of %d edges: mean %.1f, p50 %.0f, p95 %.0f, max %.0f\n",
 		len(rates), g.M(), s.Mean, s.P50, s.P95, s.Max)
 
 	// Move-distance sanity: every move crosses exactly one unit edge.
@@ -85,21 +99,34 @@ func main() {
 			displaced++
 		}
 	}
-	fmt.Printf("objects displaced from start: %d/%d\n", displaced, wl.Objects)
+	fmt.Fprintf(stdout, "objects displaced from start: %d/%d\n", displaced, wl.Objects)
 
 	if *jsonOut != "" {
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mottrace: %v\n", err)
-			os.Exit(1)
+		if err := writeJSON(*jsonOut, wl); err != nil {
+			return fatal(stderr, err)
 		}
-		defer f.Close()
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(wl); err != nil {
-			fmt.Fprintf(os.Stderr, "mottrace: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("trace written to %s\n", *jsonOut)
+		fmt.Fprintf(stdout, "trace written to %s\n", *jsonOut)
 	}
+	return 0
+}
+
+// writeJSON writes the workload to path as indented JSON; a failed Close
+// (the write that flushes the file) is an error too.
+func writeJSON(path string, wl *mobility.Workload) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(wl); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+func fatal(stderr io.Writer, err error) int {
+	fmt.Fprintf(stderr, "mottrace: %v\n", err)
+	return 1
 }

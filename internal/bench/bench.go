@@ -28,11 +28,13 @@
 // serving rows: serve/ops-publish|move|query each pin one full HTTP
 // round trip through the sharded motserve front end (mux dispatch,
 // shard hash, inflight window, tracker op, ack) with ops_per_sec and the
-// server-side p50/p99 riding along as extras — and the two oracle-tier
-// layers under the scale cell: graph/pair-dist-10000 pins a warmed
-// PairSearch.Dist on uniform pairs of the 10k grid (the sampled exact
-// audit's unit of work) at 0 allocs/op, and hier/build-10000 and
-// hier/build-16384 track hier.Build over a prebuilt sketch oracle, the
+// server-side p50/p99 riding along as extras — and the oracle-tier
+// layers under the scale cell: graph/pair-dist-oracle-10000 pins a
+// warmed PairSearch.Dist on uniform pairs of the 10k grid through the
+// oracle's A* search (the sampled exact audit's unit of work) at 0
+// allocs/op, graph/pair-dist-10000 pins the same pairs on the bound-free
+// search that graphs with non-integer weights take, and hier/build-10000
+// and hier/build-16384 track hier.Build over a prebuilt sketch oracle, the
 // first with the scale harness's configuration and the second with
 // motserve's (sigma derived, so it includes the doubling estimate). The
 // build rows are unpinned: their allocs/op drift between runs, because
@@ -254,14 +256,19 @@ func oracleDist() Result {
 	return res
 }
 
-// pairDist measures the sampled exact audit's unit of work: a
-// PairSearch.Dist on seeded uniform pairs of the 10k-node grid the
-// scale cells run on. The search is warmed on every pair first, so its
-// scratch has grown to the largest search and the row pins 0 allocs/op.
-func pairDist() Result {
+// pairDist measures the sampled exact audit's unit of work on seeded
+// uniform pairs of the 10k-node grid the scale cells run on: on the
+// oracle's search (the A* the audit runs on an *Oracle) when oracle is
+// set, else on the bound-free search non-integer graphs take. The search
+// is warmed on every pair first, so its scratch has grown to the largest
+// search and the row pins 0 allocs/op.
+func pairDist(oracle bool) Result {
 	const n = 10000
 	g := graph.NearSquareGrid(n)
-	ps := graph.NewPairSearch(g)
+	name, ps := "graph/pair-dist-10000", graph.NewPairSearch(g)
+	if oracle {
+		name, ps = "graph/pair-dist-oracle-10000", graph.NewOracle(g, graph.OracleConfig{}).PairSearch()
+	}
 	rng := rand.New(rand.NewSource(1))
 	pairs := make([][2]graph.NodeID, 256)
 	for i := range pairs {
@@ -277,7 +284,7 @@ func pairDist() Result {
 		}
 		sink = acc
 	})
-	res := toResult("graph/pair-dist-10000", r, nil)
+	res := toResult(name, r, nil)
 	res.Pinned = true
 	return res
 }
@@ -524,7 +531,8 @@ func Run() *Report {
 	benchmarks = append(benchmarks, off, on)
 	benchmarks = append(benchmarks, oracleBuild(1024, true)...)
 	benchmarks = append(benchmarks, oracleBuild(10000, false)...)
-	benchmarks = append(benchmarks, best(3, pairDist),
+	benchmarks = append(benchmarks, best(3, func() Result { return pairDist(false) }),
+		best(3, func() Result { return pairDist(true) }),
 		// The scale harness's hierarchy, and motserve's at 16,384 sensors.
 		hierBuild(10000, graph.OracleConfig{}, hier.Config{Seed: 1, SpecialParentOffset: 2}),
 		hierBuild(16384, graph.OracleConfig{Seed: 1}, hier.Config{Seed: 1}),

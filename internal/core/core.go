@@ -62,7 +62,8 @@ type Config struct {
 	// ExactSampleEvery enables sampled exact re-metering: roughly one in
 	// this many move/query operations (chosen by a seeded hash of the
 	// operation index) has its distance terms re-measured with exact
-	// point-to-point searches (graph.PairSearch), filling the
+	// point-to-point searches (graph.PairSearch, an A* over the landmark
+	// table when the metric is a *graph.Oracle), filling the
 	// CostMeter.Sampled* fields. Zero disables sampling. Only useful when
 	// the overlay runs on an approximate oracle — on the exact metric the
 	// sampled Est and Exact fields coincide.
@@ -105,7 +106,11 @@ func New(ov overlay.Overlay, cfg Config) *Directory {
 		loc: make(map[ObjectID]graph.NodeID),
 	}
 	if cfg.ExactSampleEvery > 0 {
-		d.sampler = graph.NewPairSearch(d.h.m.Graph())
+		if o, ok := d.h.m.(*graph.Oracle); ok {
+			d.sampler = o.PairSearch()
+		} else {
+			d.sampler = graph.NewPairSearch(d.h.m.Graph())
+		}
 	}
 	return d
 }

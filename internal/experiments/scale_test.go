@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/graph"
@@ -155,5 +156,62 @@ func TestScaleOracleDefaults(t *testing.T) {
 	}
 	if res.SampledOps[0] != 0 {
 		t.Fatalf("sampling disabled but %v ops sampled", res.SampledOps[0])
+	}
+}
+
+// TestGoldenScaleOracleAudit pins an oracle-mode sweep, sampled exact
+// audit included, to the bit: every float field of ScaleResult on two
+// grids above OracleMinN, three seeds each, against values recorded
+// before the audit's search became an A* over the oracle's landmark
+// table. The audit's exact terms come from that search, so a wrong
+// bound or early exit moves SampledMaint, SampledQuery, or Overestimate.
+// Workers=1 and Workers=4 must agree; under `make race` the four workers
+// search one shared oracle concurrently.
+func TestGoldenScaleOracleAudit(t *testing.T) {
+	golden := []struct {
+		field string
+		bits  [2]uint64
+	}{
+		{"Stretch", [2]uint64{0x3ffdb6db6db6db6e, 0x4001249249249249}},
+		{"Maintenance", [2]uint64{0x4023d49f49f49f4a, 0x402ad3e93e93e93e}},
+		{"Query", [2]uint64{0x4007b9201b0ca53c, 0x40085e18b55dd193}},
+		{"SampledMaint", [2]uint64{0x40271984cb7feb32, 0x4029398bd4f98bd6}},
+		{"SampledQuery", [2]uint64{0x4006e7887410a8a7, 0x400537ea44fbf37e}},
+		{"Overestimate", [2]uint64{0x3ff0000000000000, 0x3ff00cc29786c760}},
+		{"SampledOps", [2]uint64{0x403f555555555554, 0x4041d55555555555}},
+	}
+	for _, workers := range []int{1, 4} {
+		res, err := RunScale(ScaleConfig{
+			Sizes:          []int{400, 900},
+			Objects:        12,
+			MovesPerObject: 40,
+			Queries:        80,
+			Seeds:          3,
+			OracleMinN:     256,
+			Workers:        workers,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.OracleMode[0] || !res.OracleMode[1] {
+			t.Fatalf("workers=%d: cells ran on the exact metric: %v", workers, res.OracleMode)
+		}
+		fields := map[string][]float64{
+			"Stretch":      res.Stretch,
+			"Maintenance":  res.Maintenance,
+			"Query":        res.Query,
+			"SampledMaint": res.SampledMaint,
+			"SampledQuery": res.SampledQuery,
+			"Overestimate": res.Overestimate,
+			"SampledOps":   res.SampledOps,
+		}
+		for _, g := range golden {
+			for i, want := range g.bits {
+				if got := fields[g.field][i]; math.Float64bits(got) != want {
+					t.Errorf("workers=%d: %s[%d] = %v (%#x), golden %v (%#x)", workers, g.field, i,
+						got, math.Float64bits(got), math.Float64frombits(want), want)
+				}
+			}
+		}
 	}
 }

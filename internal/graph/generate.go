@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 )
 
 // Grid returns a w×h grid network with unit edge weights and unit-spaced
@@ -31,6 +33,22 @@ func Grid(w, h int) *Graph {
 		panic(err)
 	}
 	return g
+}
+
+// ParseGrid parses a grid spec "WxH" (case-insensitive x) into two sides
+// of at least one sensor whose product fits an int, the sizes Grid
+// accepts; any other text, including trailing characters, fails.
+func ParseGrid(spec string) (w, h int, ok bool) {
+	ws, hs, found := strings.Cut(strings.ToLower(spec), "x")
+	if !found {
+		return 0, 0, false
+	}
+	w, errW := strconv.Atoi(ws)
+	h, errH := strconv.Atoi(hs)
+	if errW != nil || errH != nil || w < 1 || h < 1 || w > math.MaxInt/h {
+		return 0, 0, false
+	}
+	return w, h, true
 }
 
 // GridSizes mirrors the evaluation's "10 to 1024 nodes" sweep with

@@ -226,18 +226,27 @@ func (g *Graph) Normalize() float64 {
 // whatever order it adds the edges. Grids and rings qualify; Euclidean
 // weights, as on random geometric graphs, generally do not.
 func (g *Graph) IntegerWeights() bool {
+	total, ok := g.integerWeightSum()
+	return ok && total < 1<<53
+}
+
+// integerWeightSum returns the sum of all edge weights and whether every
+// weight is an integer. The sum of integers is exact while it stays below
+// 2^53, and once it reaches 2^53 rounding keeps it there, so for k ≤ 53
+// the result is below 2^k exactly when the true sum is.
+func (g *Graph) integerWeightSum() (float64, bool) {
 	total := 0.0
 	for u := range g.adj {
 		for _, e := range g.adj[u] {
 			if e.w != math.Trunc(e.w) {
-				return false
+				return 0, false
 			}
 			if NodeID(u) < e.to {
 				total += e.w
 			}
 		}
 	}
-	return total < 1<<53
+	return total, true
 }
 
 // Connected reports whether the graph is connected (true for the empty and

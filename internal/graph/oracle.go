@@ -70,10 +70,11 @@ type Neighbor struct {
 
 // OracleConfig parameterizes the landmark/ball sketch oracle.
 type OracleConfig struct {
-	// Landmarks is the total landmark budget L (full Dijkstra rows kept,
-	// O(L·n) floats). <=0 derives 4·ceil(log2 n)+8, clamped to n. Every
-	// connected component receives at least one landmark, so same-
-	// component estimates are always finite.
+	// Landmarks is the total landmark budget L (a full Dijkstra's
+	// distances kept per landmark, O(L·n) floats). <=0 derives
+	// 4·ceil(log2 n)+8, clamped to n. Every connected component receives
+	// at least one landmark, so same-component estimates are always
+	// finite.
 	Landmarks int
 	// BallK is the per-node sketch size k: each node stores exact
 	// distances to its k nearest nodes (O(k·n) entries). <=0 derives
@@ -115,9 +116,10 @@ func (c *OracleConfig) fill(n int) {
 
 // Oracle is the sub-quadratic distance oracle: per-node ball sketches
 // (exact distances to the k nearest nodes) answer near queries and
-// near-pair Dist exactly; seeded farthest-point landmarks (full Dijkstra
-// rows) answer far-pair Dist with the triangle upper bound
-// min_l d(u,l)+d(l,v). The published stretch bound is computed at build
+// near-pair Dist exactly; seeded farthest-point landmarks (a full
+// Dijkstra each, stored node-major) answer far-pair Dist with the
+// triangle upper bound min_l d(u,l)+d(l,v), and give PairSearch its A*
+// lower bound. The published stretch bound is computed at build
 // time from the cover and sketch radii (see Stretch) — no n×n table is
 // ever materialized, and memory is O(n·(L+k)).
 //
@@ -128,8 +130,10 @@ type Oracle struct {
 
 	comp      []int32  // connected component index per node
 	landmarks []NodeID // selection order
-	lrows     [][]float64
-	rland     []float64 // d(u, nearest landmark)
+	// ltab is the landmark table, node-major: ltab[u·L+i] is
+	// d(landmarks[i], u), so one node's L distances sit side by side.
+	ltab  []float64
+	rland []float64 // d(u, nearest landmark)
 
 	sketch  [][]Neighbor // per node, k nearest sorted by ascending node ID
 	rsketch []float64    // guaranteed-exact radius: d(u,v) < rsketch[u] ⇒ v in sketch[u]; +Inf when the sketch holds u's whole component
@@ -212,7 +216,8 @@ func (o *Oracle) findComponents() {
 
 // pickLandmarks selects landmarks per component — a seeded first pick,
 // then deterministic farthest-point traversal (ties broken by smallest
-// node ID) — and stores one full Dijkstra row per landmark.
+// node ID) — and fills the node-major landmark table from one full
+// Dijkstra per landmark.
 func (o *Oracle) pickLandmarks() {
 	n := o.g.N()
 	nComp := 0
@@ -226,17 +231,45 @@ func (o *Oracle) pickLandmarks() {
 		c := o.comp[u]
 		members[c] = append(members[c], NodeID(u))
 	}
+	// Budget proportional to component size, at least one. Weights are
+	// positive, so a member that is not a landmark is a positive distance
+	// from every landmark: each component gets exactly its budget, and the
+	// budgets sum to the table's stride.
+	budget := make([]int, nComp)
+	L := 0
+	for c, mem := range members {
+		budget[c] = min(max(o.cfg.Landmarks*len(mem)/n, 1), len(mem))
+		L += budget[c]
+	}
 
+	o.ltab = make([]float64, n*L)
 	minD := make([]float64, n)
 	for i := range minD {
 		minD[i] = Inf
 	}
+	// Each landmark's Dijkstra fills one row of a batch, and a full batch
+	// goes into the table node by node, so a node's block is written a
+	// cache line at a time rather than one scattered entry per landmark.
+	const batch = 8
+	rows := make([]float64, batch*n)
+	flushed := 0 // landmarks already in the table
+	flush := func() {
+		for u := 0; u < n; u++ {
+			blk := o.ltab[u*L+flushed : u*L+len(o.landmarks)]
+			for j := range blk {
+				blk[j] = rows[j*n+u]
+			}
+		}
+		flushed = len(o.landmarks)
+	}
 	h := make(distHeap, 0, 64)
 	addLandmark := func(l NodeID) {
-		row := make([]float64, n)
+		row := rows[(len(o.landmarks)-flushed)*n:][:n]
 		o.g.dijkstraInto(l, row, nil, &h)
 		o.landmarks = append(o.landmarks, l)
-		o.lrows = append(o.lrows, row)
+		if len(o.landmarks)-flushed == batch || len(o.landmarks) == L {
+			flush()
+		}
 		for _, u := range members[o.comp[l]] {
 			if row[u] < minD[u] {
 				minD[u] = row[u]
@@ -244,27 +277,15 @@ func (o *Oracle) pickLandmarks() {
 		}
 	}
 
-	for c := 0; c < nComp; c++ {
-		mem := members[c]
-		// Budget proportional to component size, at least one.
-		budget := o.cfg.Landmarks * len(mem) / n
-		if budget < 1 {
-			budget = 1
-		}
-		if budget > len(mem) {
-			budget = len(mem)
-		}
+	for c, mem := range members {
 		first := mem[splitmix64(uint64(o.cfg.Seed)^uint64(c)*0x9e3779b97f4a7c15)%uint64(len(mem))]
 		addLandmark(first)
-		for i := 1; i < budget; i++ {
+		for i := 1; i < budget[c]; i++ {
 			far, farD := Undefined, -1.0
 			for _, u := range mem {
 				if d := minD[u]; d > farD {
 					far, farD = u, d
 				}
-			}
-			if farD <= 0 {
-				break // component fully covered by existing landmarks
 			}
 			addLandmark(far)
 		}
@@ -407,16 +428,16 @@ func (o *Oracle) computeStretch() {
 // Graph returns the underlying graph.
 func (o *Oracle) Graph() *Graph { return o.g }
 
-// Landmarks returns the number of landmark rows kept.
+// Landmarks returns the number of landmarks L.
 func (o *Oracle) Landmarks() int { return len(o.landmarks) }
 
 // BallK returns the per-node sketch size.
 func (o *Oracle) BallK() int { return o.cfg.BallK }
 
-// Bytes estimates the oracle's resident memory: landmark rows plus ball
-// sketches (the quantity the BENCH trajectory tracks as bytes/node).
+// Bytes estimates the oracle's resident memory: the landmark table plus
+// ball sketches (the quantity the BENCH trajectory tracks as bytes/node).
 func (o *Oracle) Bytes() int64 {
-	b := int64(len(o.lrows)) * int64(o.g.N()) * 8
+	b := int64(len(o.ltab)) * 8
 	for _, sk := range o.sketch {
 		b += int64(len(sk)) * 16
 	}
@@ -466,13 +487,31 @@ func (o *Oracle) Dist(u, v NodeID) float64 {
 	if d, ok := o.sketchDist(v, u); ok {
 		return d
 	}
+	L := len(o.landmarks)
+	lu := o.ltab[int(u)*L : int(u)*L+L]
+	lv := o.ltab[int(v)*L : int(v)*L+L]
 	best := Inf
-	for _, row := range o.lrows {
-		if s := row[u] + row[v]; s < best {
+	for i, du := range lu {
+		if s := du + lv[i]; s < best {
 			best = s
 		}
 	}
 	return best
+}
+
+// PairSearch returns an exact point-to-point search over o's graph that
+// answers cross-component pairs from o's component labels and, when every
+// weight is an integer and the weights sum below 2^52, runs A* on o's
+// landmark table (see PairSearch). It reads o's tables and never writes
+// them, so searches on many goroutines share one oracle without a lock;
+// each search owns its scratch.
+func (o *Oracle) PairSearch() *PairSearch {
+	p := NewPairSearch(o.g)
+	p.comp = o.comp
+	if total, ok := o.g.integerWeightSum(); ok && total < 1<<52 {
+		p.ltab, p.nl = o.ltab, len(o.landmarks)
+	}
+	return p
 }
 
 // Scan visits every node within distance r of u with its exact
@@ -526,13 +565,13 @@ func (o *Oracle) BallSize(u NodeID, r float64) int {
 	return c
 }
 
-// Diameter returns the upper bound 2·min_l ecc(l) over the landmark
-// rows, which is within a factor 2 of the true diameter
+// Diameter returns the upper bound 2·min_l ecc(l) over the landmarks,
+// which is within a factor 2 of the true diameter
 // (D ≤ 2·ecc(l) ≤ 2·D for every l). The edge semantics match
 // Metric.Diameter exactly: 0 for graphs with fewer than two nodes, and
-// +Inf for disconnected graphs — every landmark row then carries an Inf
-// entry for the other components, so every eccentricity (and the bound)
-// is +Inf. A landmark-free oracle at n ≥ 2 cannot happen (pickLandmarks
+// +Inf for disconnected graphs — every landmark is then +Inf from the
+// other components, so every eccentricity (and the bound) is +Inf. A
+// landmark-free oracle at n ≥ 2 cannot happen (pickLandmarks
 // places at least one landmark per component), but if it ever did the
 // answer is the vacuous bound +Inf, never 0: a 0 would tell callers
 // sizing doubling sweeps or ball radii that the graph is a point.
@@ -544,19 +583,22 @@ func (o *Oracle) Diameter() float64 {
 			o.diam = 0
 			return
 		}
-		best := Inf
-		for _, row := range o.lrows {
-			ecc := 0.0
-			for _, d := range row {
-				if d > ecc {
-					ecc = d
+		L := len(o.landmarks)
+		ecc := make([]float64, L)
+		for off := 0; off < len(o.ltab); off += L {
+			for i, d := range o.ltab[off : off+L] {
+				if d > ecc[i] {
+					ecc[i] = d
 				}
 			}
-			if 2*ecc < best {
-				best = 2 * ecc
+		}
+		best := Inf
+		for _, e := range ecc {
+			if 2*e < best {
+				best = 2 * e
 			}
 		}
-		// best is still +Inf when there are no landmark rows (vacuous
+		// best is still +Inf when there are no landmarks (vacuous
 		// bound) or the graph is disconnected (every ecc is +Inf) —
 		// both deliberately +Inf, matching Metric.Diameter.
 		o.diam = best

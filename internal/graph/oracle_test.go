@@ -450,19 +450,24 @@ func TestOracleBallSizeMatchesNear(t *testing.T) {
 // dynamically: Dist and BallSize (sketch path and pooled-scratch
 // fallback alike) allocate nothing per call once the scratch pool has
 // warmed to the working ball size, and neither does a PairSearch.Dist on
-// far pairs once its scratch has warmed to the largest search.
+// far pairs, plain or on the oracle's landmark bound, once its scratch
+// has warmed to the largest search.
 func TestOracleHotPathZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the pin runs in the plain tier")
 	}
 	g := Grid(12, 12)
 	o := smallOracle(g, 5, 1)
-	ps := NewPairSearch(g)
+	ps, bs := NewPairSearch(g), o.PairSearch()
+	if bs.ltab == nil {
+		t.Fatal("the oracle's search on a grid runs without the landmark bound")
+	}
 	n := g.N()
 	diam := o.Diameter()
 	o.BallSize(0, diam) // warm the pooled scratch to the largest ball
 	for u := 0; u < n; u++ {
-		ps.Dist(NodeID(u), NodeID(n-1-u)) // warm the search on every far pair below
+		ps.Dist(NodeID(u), NodeID(n-1-u)) // warm the searches on every far pair below
+		bs.Dist(NodeID(u), NodeID(n-1-u))
 	}
 	i := 0
 	if allocs := testing.AllocsPerRun(200, func() {
@@ -472,6 +477,7 @@ func TestOracleHotPathZeroAllocs(t *testing.T) {
 		_ = o.BallSize(u, 0.5)  // sketch path
 		_ = o.BallSize(u, diam) // bounded-Dijkstra fallback
 		_ = ps.Dist(u, NodeID(n-1)-u)
+		_ = bs.Dist(u, NodeID(n-1)-u)
 		i++
 	}); allocs != 0 {
 		t.Fatalf("oracle Dist/BallSize and PairSearch.Dist allocate %v per op, want 0", allocs)

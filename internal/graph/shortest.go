@@ -118,28 +118,62 @@ func (g *Graph) dijkstraInto(src NodeID, dist []float64, parent []NodeID, h *dis
 	}
 }
 
-// PairSearch answers exact point-to-point distances: a Dijkstra from u
-// that stops as soon as v settles. Its scratch is reused across calls
-// and restored through the touched list, so a search pays for the nodes
-// it reaches, never for an O(n) reset, and a warmed search allocates
-// nothing. This is what keeps sampled exact audits affordable at sizes
-// where an n×n table, or even a cache of full rows, is not.
+// PairSearch answers exact point-to-point distances with an A* search
+// from u that stops as soon as v settles. Its heap key is g + h(x),
+// where g is x's label from u and h(x) a lower bound on d(x, v). On a
+// plain search (NewPairSearch) h ≡ 0 and the search is Dijkstra. On an
+// oracle's search (Oracle.PairSearch) h is the landmark bound
+// max_i |d(l_i, x) − d(l_i, v)| (ALT; Goldberg & Harrelson, SODA 2005),
+// read from the oracle's node-major landmark table, and a pair in
+// different components answers +Inf from the component labels. Its
+// scratch is reused across calls and restored through the touched list,
+// so a search pays for the nodes it reaches, never for an O(n) reset,
+// and a warmed search allocates nothing. This is what keeps sampled
+// exact audits affordable at sizes where an n×n table, or even a cache
+// of full rows, is not.
 //
-// Dist(u, v) equals g.Dijkstra(u).Dist[v] bit for bit: labels pop in
-// nondecreasing order and fl(d+w) ≥ d for w ≥ 0, so a popped label never
-// changes, and until v pops the early-exit run makes exactly the pops
-// and relaxations of the full one.
+// Dist(u, v) equals g.Dijkstra(u).Dist[v] bit for bit. With h ≡ 0,
+// labels pop in nondecreasing order and fl(d+w) ≥ d for w ≥ 0, so a
+// popped label never changes, and every node with a smaller label pops
+// first. Induction on the labels in increasing order then shows that no
+// label depends on the order in which equal keys pop (this heap and
+// Dijkstra's break ties differently), so the early-exit run pops v with
+// the label the full run ends with. The bound is used only when every
+// weight is an integer and the weights sum below 2^52. Every label,
+// landmark distance and bound is then an integer no larger than that
+// sum, and every key at most twice it, all below 2^53, so the search
+// adds exactly. On an undirected graph the bound is consistent,
+// h(x) ≤ w(x,y) + h(y) by the triangle inequality, and h(v) = 0, so A*
+// pops v at its exact distance, which is also what Dijkstra computes on
+// such weights. Among equal keys the item with the larger g, and so the
+// smaller bound, pops first; on grids, where many keys tie, this settles
+// several times fewer nodes.
 //
-// A PairSearch is not safe for concurrent use.
+// A PairSearch is not safe for concurrent use; searches of one oracle
+// share its tables read-only, so each goroutine needs only its own.
 type PairSearch struct {
-	g  *Graph
-	sc *nearScratch
+	g       *Graph
+	dist    []float64 // all-+Inf between searches
+	touched []NodeID
+	h       pairHeap
+
+	// Set by Oracle.PairSearch: comp answers cross-component pairs, and
+	// ltab (nil when the bound is off) is the oracle's landmark table
+	// with nl entries per node.
+	comp []int32
+	ltab []float64
+	nl   int
 }
 
-// NewPairSearch returns a point-to-point search over g, with O(n)
-// scratch. The graph must not be mutated afterwards.
+// NewPairSearch returns a point-to-point search over g with no bound
+// (Dijkstra), with O(n) scratch. The graph must not be mutated
+// afterwards.
 func NewPairSearch(g *Graph) *PairSearch {
-	return &PairSearch{g: g, sc: newNearScratch(g.N())}
+	dist := make([]float64, g.N())
+	for i := range dist {
+		dist[i] = Inf
+	}
+	return &PairSearch{g: g, dist: dist, h: make(pairHeap, 0, 64)}
 }
 
 // Dist returns the exact shortest-path distance from u to v: 0 when
@@ -148,47 +182,143 @@ func NewPairSearch(g *Graph) *PairSearch {
 //
 //motlint:hotpath
 func (p *PairSearch) Dist(u, v NodeID) float64 {
-	g, sc := p.g, p.sc
+	g, dist := p.g, p.dist
 	if !g.valid(u) || !g.valid(v) {
 		panic(fmt.Sprintf("graph: PairSearch.Dist(%d, %d) out of range for n=%d", u, v, g.n))
 	}
 	if u == v {
 		return 0
 	}
-	dist := sc.dist
-	sc.touched = sc.touched[:0]
-	sc.h = sc.h[:0]
+	if p.comp != nil && p.comp[u] != p.comp[v] {
+		return Inf
+	}
+	var lv []float64 // v's landmark distances; nil when the bound is off
+	if p.ltab != nil {
+		lv = p.ltab[int(v)*p.nl : int(v)*p.nl+p.nl]
+	}
+	p.touched = p.touched[:0]
+	p.h = p.h[:0]
 	dist[u] = 0
 	//motlint:ignore hotalloc reused scratch grows once to the largest search
-	sc.touched = append(sc.touched, u)
+	p.touched = append(p.touched, u)
 	//motlint:ignore hotalloc reused heap grows once to the largest search
-	sc.h.push(distItem{node: u, d: 0})
+	p.h.push(pairItem{node: u, key: p.bound(u, lv), g: 0})
 	d := Inf
-	for len(sc.h) > 0 {
-		it := sc.h.pop()
-		if it.d > dist[it.node] {
+	for len(p.h) > 0 {
+		it := p.h.pop()
+		if it.g > dist[it.node] {
 			continue // stale entry
 		}
 		if it.node == v {
-			d = it.d
+			d = it.g
 			break
 		}
 		for _, e := range g.adj[it.node] {
-			if nd := it.d + e.w; nd < dist[e.to] {
+			if nd := it.g + e.w; nd < dist[e.to] {
 				if dist[e.to] == Inf {
 					//motlint:ignore hotalloc reused scratch grows once to the largest search
-					sc.touched = append(sc.touched, e.to)
+					p.touched = append(p.touched, e.to)
 				}
 				dist[e.to] = nd
 				//motlint:ignore hotalloc reused heap grows once to the largest search
-				sc.h.push(distItem{node: e.to, d: nd})
+				p.h.push(pairItem{node: e.to, key: nd + p.bound(e.to, lv), g: nd})
 			}
 		}
 	}
-	for _, x := range sc.touched {
+	for _, x := range p.touched {
 		dist[x] = Inf
 	}
 	return d
+}
+
+// bound returns the landmark lower bound on d(x, v), given v's landmark
+// distances lv: max_i |d(l_i, x) − d(l_i, v)|, or 0 when lv is nil. A
+// landmark in another component is +Inf at v, and at x too, since x
+// shares v's component: the difference is NaN, and NaN > h is false, so
+// such landmarks never raise the bound. (Go's max would propagate the
+// NaN; keep the comparison.)
+//
+//motlint:hotpath
+func (p *PairSearch) bound(x NodeID, lv []float64) float64 {
+	if lv == nil {
+		return 0
+	}
+	lx := p.ltab[int(x)*p.nl : int(x)*p.nl+len(lv)]
+	h := 0.0
+	for i, dv := range lv {
+		if d := math.Abs(lx[i] - dv); d > h {
+			h = d
+		}
+	}
+	return h
+}
+
+// pairItem is one A* heap entry: node x with key g + h(x) and label g.
+type pairItem struct {
+	node   NodeID
+	key, g float64
+}
+
+// before orders the A* heap: smaller key first, and among equal keys the
+// larger g, whose bound to the target is the smaller.
+func (a pairItem) before(b pairItem) bool {
+	return a.key < b.key || a.key == b.key && a.g > b.g
+}
+
+// pairHeap is PairSearch's binary min-heap. It is separate from distHeap
+// so the ball and sketch searches keep their narrower items, and it moves
+// a hole instead of swapping.
+type pairHeap []pairItem
+
+func (h *pairHeap) push(it pairItem) {
+	*h = append(*h, it)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !it.before(s[p]) {
+			break
+		}
+		s[i] = s[p]
+		i = p
+	}
+	s[i] = it
+}
+
+// pop removes the first item. It walks the hole at the root down to a
+// leaf along the earlier child, one comparison per level, then sifts the
+// last item up from there. The last item usually belongs near the
+// bottom, so this beats the two comparisons per level of a plain sift
+// down, which matters on grids, where keys often tie and each tie costs
+// a second comparison.
+func (h *pairHeap) pop() pairItem {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	last := s[n]
+	s = s[:n]
+	*h = s
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && s[c+1].before(s[c]) {
+			c++
+		}
+		s[i] = s[c]
+		i = c
+	}
+	for i > 0 {
+		p := (i - 1) / 2
+		if !last.before(s[p]) {
+			break
+		}
+		s[i] = s[p]
+		i = p
+	}
+	s[i] = last
+	return top
 }
 
 // PathTo reconstructs the shortest path from the SSSP source to v, inclusive

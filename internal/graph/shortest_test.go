@@ -226,6 +226,78 @@ func TestPairSearchMatchesDijkstra(t *testing.T) {
 	}
 }
 
+// integerReweighted copies g with every edge weight drawn from
+// base + {1, …, 5}, dropping each edge with probability drop.
+func integerReweighted(g *Graph, base, drop float64, rng *rand.Rand) *Graph {
+	out := New(g.N())
+	for _, e := range g.Edges() {
+		if rng.Float64() < drop {
+			continue
+		}
+		out.MustAddEdge(e.From, e.To, base+float64(1+rng.Intn(5)))
+	}
+	return out
+}
+
+// TestOraclePairSearchMatchesDijkstra pins the oracle's search to the
+// plain one's contract: for every v and every 5th source s, one shared
+// o.PairSearch() answers (s, v) with the bits of g.Dijkstra(s).Dist[v].
+// The landmark bound must be on for the integer-weight graphs below 2^52
+// (a grid, a ring, and an integer-weight grid split into components,
+// where the component labels answer +Inf and other components' landmarks
+// must not poison the bound) and off for a ring whose integer weights sum
+// to 2^52 or more and for a reweighted RGG.
+func TestOraclePairSearchMatchesDijkstra(t *testing.T) {
+	rng := rand.New(rand.NewSource(66))
+	split := integerReweighted(Grid(24, 20), 0, 0.35, rng)
+	if split.Connected() {
+		t.Fatal("the dropped-edge grid stayed connected")
+	}
+	// Integer weights summing to just over 2^52: the hierarchy's
+	// IntegerWeights holds, but a key could reach 2^53.
+	ring52 := integerReweighted(Ring(64), 1<<46, 0, rng)
+	if !ring52.IntegerWeights() {
+		t.Fatal("the 2^52 ring fails IntegerWeights")
+	}
+	rgg := RandomGeometric(200, 10, 1.2, rand.New(rand.NewSource(63)))
+	bounded, infs := 0, 0
+	for _, tc := range []struct {
+		name   string
+		g      *Graph
+		bounds bool
+	}{
+		{"grid", Grid(17, 13), true},
+		{"ring", Ring(90), true},
+		{"grid-int-split", split, true},
+		{"ring-2^52", ring52, false},
+		{"rgg-rescaled", rescaled(rgg, 0.4, rand.New(rand.NewSource(64))), false},
+	} {
+		g := tc.g
+		ps := NewOracle(g, OracleConfig{Seed: 5}).PairSearch()
+		if on := ps.ltab != nil; on != tc.bounds {
+			t.Fatalf("%s: landmark bound on = %v, want %v", tc.name, on, tc.bounds)
+		}
+		for s := 0; s < g.N(); s += 5 {
+			row := g.Dijkstra(NodeID(s)).Dist
+			for v := range row {
+				got := ps.Dist(NodeID(s), NodeID(v))
+				if math.Float64bits(got) != math.Float64bits(row[v]) {
+					t.Fatalf("%s: PairSearch.Dist(%d, %d) = %v, Dijkstra %v", tc.name, s, v, got, row[v])
+				}
+				if tc.bounds {
+					bounded++
+				}
+				if math.IsInf(got, 1) {
+					infs++
+				}
+			}
+		}
+	}
+	if bounded == 0 || infs == 0 {
+		t.Fatalf("%d pairs checked with the bound on, %d +Inf pairs; want both above 0", bounded, infs)
+	}
+}
+
 func TestPairSearchPanicsOutOfRange(t *testing.T) {
 	ps := NewPairSearch(Path(3))
 	for _, pair := range [][2]NodeID{{-1, 0}, {0, 3}} {

@@ -75,6 +75,9 @@ func Generate(g *graph.Graph, m graph.DistanceOracle, cfg Config) (*Workload, er
 	if cfg.Objects <= 0 {
 		return nil, fmt.Errorf("mobility: need at least one object")
 	}
+	if cfg.MovesPerObject < 0 || cfg.Queries < 0 {
+		return nil, fmt.Errorf("mobility: negative count: %d moves per object, %d queries", cfg.MovesPerObject, cfg.Queries)
+	}
 	if g.N() == 0 {
 		return nil, fmt.Errorf("mobility: empty graph")
 	}

@@ -21,6 +21,25 @@ func TestGenerateValidation(t *testing.T) {
 	}
 }
 
+// TestGenerateRejectsNegativeCounts: a negative move or query count is an
+// error, not a makeslice panic, on either model.
+func TestGenerateRejectsNegativeCounts(t *testing.T) {
+	g := graph.Grid(3, 3)
+	m := graph.NewMetric(g)
+	for _, cfg := range []Config{
+		{Objects: 2, MovesPerObject: -2},
+		{Objects: 2, MovesPerObject: -1, Model: RandomWaypoint},
+		{Objects: 2, MovesPerObject: 3, Queries: -1},
+	} {
+		if _, err := Generate(g, m, cfg); err == nil {
+			t.Errorf("Generate(%+v) accepted a negative count", cfg)
+		}
+	}
+	if _, err := Generate(g, m, Config{Objects: 2}); err != nil {
+		t.Fatalf("zero moves and queries rejected: %v", err)
+	}
+}
+
 func TestRandomWalkMovesAreAdjacent(t *testing.T) {
 	g := graph.Grid(6, 6)
 	m := graph.NewMetric(g)
