@@ -26,30 +26,12 @@ var _ Directory = (*Tracker)(nil)
 // baselines consume: how often objects cross each sensor adjacency.
 type EdgeRates = map[mobility.EdgeKey]float64
 
-// baseline adapts a treedir.Directory to the Directory interface.
-type baseline struct {
-	d *treedir.Directory
-	n int
-}
-
-func (b baseline) Publish(o ObjectID, at NodeID) error { return b.d.Publish(o, at) }
-func (b baseline) Move(o ObjectID, to NodeID) error    { return b.d.Move(o, to) }
-func (b baseline) Query(from NodeID, o ObjectID) (NodeID, float64, error) {
-	return b.d.Query(from, o)
-}
-func (b baseline) Location(o ObjectID) (NodeID, bool) { return b.d.Location(o) }
-func (b baseline) Meter() CostMeter                   { return b.d.Meter() }
-func (b baseline) LoadByNode() []int                  { return b.d.LoadByNode(b.n) }
-
 // NewSTUN builds the STUN baseline (Kung & Vlah 2003): a Drain-And-Balance
 // hierarchy constructed from the given detection rates, with sink-initiated
 // queries. Unlike MOT it is traffic-conscious — it needs rates up front.
 func NewSTUN(g *Graph, m *Metric, rates EdgeRates) (Directory, error) {
-	d, err := stun.New(g, m, rates)
-	if err != nil {
-		return nil, fmt.Errorf("mot: %w", err)
-	}
-	return baseline{d: d, n: g.N()}, nil
+	tr, err := stun.BuildTree(g, m, rates)
+	return treeDirectory(tr, err, m, treedir.Config{SinkQueries: true})
 }
 
 // ZDATOptions configures the Z-DAT baseline.
@@ -60,20 +42,27 @@ type ZDATOptions struct {
 	Shortcuts bool
 	// Sink is the tree root sensor. Set it to mot.Undefined for the
 	// metric center (the natural sink placement); note that the zero
-	// value selects sensor 0.
+	// value selects sensor 0. Any other sensor outside g is an error.
 	Sink NodeID
 }
 
 // NewZDAT builds the Z-DAT baseline (Lin et al. 2006): a zone-based
 // deviation-avoidance spanning tree over the detection rates.
 func NewZDAT(g *Graph, m *Metric, rates EdgeRates, opt ZDATOptions) (Directory, error) {
-	d, err := zdat.New(g, m, rates, zdat.Config{
-		ZoneDepth: opt.ZoneDepth,
-		Shortcuts: opt.Shortcuts,
-		Sink:      opt.Sink,
-	})
+	tr, err := zdat.BuildTree(g, m, rates, zdat.Config{ZoneDepth: opt.ZoneDepth, Sink: opt.Sink})
+	return treeDirectory(tr, err, m, treedir.Config{Shortcuts: opt.Shortcuts})
+}
+
+// treeDirectory wraps a built baseline tree in its directory, or passes on
+// the build's error; on any error the Directory is nil, never a nil
+// *treedir.Directory inside a non-nil interface.
+func treeDirectory(tr *treedir.Tree, err error, m *Metric, cfg treedir.Config) (Directory, error) {
+	var d *treedir.Directory
+	if err == nil {
+		d, err = treedir.New(tr, m, cfg)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("mot: %w", err)
 	}
-	return baseline{d: d, n: g.N()}, nil
+	return d, nil
 }

@@ -45,7 +45,7 @@ func runConcurrentAll(cfg CostRatioConfig, n int, g *graph.Graph, m *graph.Metri
 			return nil, err
 		}
 		eng := sim.NewEngine(0)
-		ts, err := sim.NewTree(t, m, eng, sim.Config{}, tc)
+		ts, err := sim.NewTree(t, m, eng, tc)
 		if err != nil {
 			return nil, err
 		}

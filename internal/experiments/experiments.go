@@ -232,59 +232,31 @@ func runOneByOneAll(cfg CostRatioConfig, n int, g *graph.Graph, m *graph.Metric,
 	if cfg.LoadBalance {
 		dcfg.Placement = lb.New(hs)
 	}
-	mot := core.New(hs, dcfg)
-
-	stunDir, err := stun.New(g, m, rates)
-	if err != nil {
-		return nil, err
-	}
-	zdatDir, err := zdat.New(g, m, rates, zdat.Config{ZoneDepth: cfg.ZoneDepth, Sink: graph.Undefined})
-	if err != nil {
-		return nil, err
-	}
-	zdatSC, err := zdat.New(g, m, rates, zdat.Config{ZoneDepth: cfg.ZoneDepth, Shortcuts: true, Sink: graph.Undefined})
-	if err != nil {
-		return nil, err
-	}
-
 	type dir interface {
-		Publish(core.ObjectID, graph.NodeID) error
-		Move(core.ObjectID, graph.NodeID) error
-		Query(graph.NodeID, core.ObjectID) (graph.NodeID, float64, error)
+		directory
 		Meter() core.CostMeter
 	}
-	dirs := []dir{motAdapter{mot}, stunDir, zdatDir, zdatSC}
+	dirs := []dir{core.New(hs, dcfg)}
+	for _, alg := range Algorithms[1:] {
+		t, tc, err := baselineTree(alg, g, m, rates, cfg.ZoneDepth)
+		if err != nil {
+			return nil, err
+		}
+		d, err := treedir.New(t, m, tc)
+		if err != nil {
+			return nil, err
+		}
+		dirs = append(dirs, d)
+	}
 	meters := make([]core.CostMeter, len(dirs))
 	for di, d := range dirs {
-		for o, at := range w.Initial {
-			if err := d.Publish(core.ObjectID(o), at); err != nil {
-				return nil, err
-			}
-		}
-		for _, mv := range w.Moves {
-			if err := d.Move(mv.Object, mv.To); err != nil {
-				return nil, err
-			}
-		}
-		for _, q := range w.Queries {
-			if _, _, err := d.Query(q.From, q.Object); err != nil {
-				return nil, err
-			}
+		if err := replay(d, w, nil); err != nil {
+			return nil, err
 		}
 		meters[di] = d.Meter()
 	}
 	return meters, nil
 }
-
-// motAdapter narrows *core.Directory to the shared driver interface.
-type motAdapter struct{ d *core.Directory }
-
-func (a motAdapter) Publish(o core.ObjectID, at graph.NodeID) error { return a.d.Publish(o, at) }
-func (a motAdapter) Move(o core.ObjectID, to graph.NodeID) error    { return a.d.Move(o, to) }
-func (a motAdapter) Query(from graph.NodeID, o core.ObjectID) (graph.NodeID, float64, error) {
-	return a.d.Query(from, o)
-}
-func (a motAdapter) Meter() core.CostMeter { return a.d.Meter() }
 
 // baselineTree builds the baseline tree plus its query discipline.
 func baselineTree(alg string, g *graph.Graph, m *graph.Metric, rates map[mobility.EdgeKey]float64, zoneDepth int) (*treedir.Tree, treedir.Config, error) {
@@ -292,12 +264,9 @@ func baselineTree(alg string, g *graph.Graph, m *graph.Metric, rates map[mobilit
 	case AlgSTUN:
 		t, err := stun.BuildTree(g, m, rates)
 		return t, treedir.Config{SinkQueries: true}, err
-	case AlgZDAT:
+	case AlgZDAT, AlgZDATSC:
 		t, err := zdat.BuildTree(g, m, rates, zdat.Config{ZoneDepth: zoneDepth, Sink: graph.Undefined})
-		return t, treedir.Config{}, err
-	case AlgZDATSC:
-		t, err := zdat.BuildTree(g, m, rates, zdat.Config{ZoneDepth: zoneDepth, Sink: graph.Undefined})
-		return t, treedir.Config{Shortcuts: true}, err
+		return t, treedir.Config{Shortcuts: alg == AlgZDATSC}, err
 	}
 	return nil, treedir.Config{}, fmt.Errorf("experiments: unknown baseline %q", alg)
 }

@@ -77,22 +77,16 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 
 	// The two sides only read g, m, w, and rates, so with Workers>1 they
 	// run concurrently; each side's load vector depends on nothing but
-	// its own replay, so the result is the same either way.
+	// its own replay (the workload has no queries), so the result is the
+	// same either way.
 	motSide := func() ([]int, error) {
 		hs, err := hierSubstrate(cfg.Nodes, g, m, hier.Config{Seed: cfg.Seed, SpecialParentOffset: 2}, cfg.DisableSubstrateCache)
 		if err != nil {
 			return nil, err
 		}
 		mot := core.New(hs, core.Config{Placement: lb.New(hs)})
-		for o, at := range w.Initial {
-			if err := mot.Publish(core.ObjectID(o), at); err != nil {
-				return nil, err
-			}
-		}
-		for _, mv := range w.Moves {
-			if err := mot.Move(mv.Object, mv.To); err != nil {
-				return nil, err
-			}
+		if err := replay(mot, w, nil); err != nil {
+			return nil, err
 		}
 		return mot.LoadByNode(g.N()), nil
 	}
@@ -105,17 +99,10 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		for o, at := range w.Initial {
-			if err := base.Publish(core.ObjectID(o), at); err != nil {
-				return nil, err
-			}
+		if err := replay(base, w, nil); err != nil {
+			return nil, err
 		}
-		for _, mv := range w.Moves {
-			if err := base.Move(mv.Object, mv.To); err != nil {
-				return nil, err
-			}
-		}
-		return base.LoadByNode(g.N()), nil
+		return base.LoadByNode(), nil
 	}
 	loads, err := orderedPool(cfg.Workers, 2, func(side int) ([]int, error) {
 		if side == 0 {

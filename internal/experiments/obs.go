@@ -221,17 +221,18 @@ func runObsOne(cfg ObsConfig, name string, seed int64) (*obs.Recorder, *live.Rec
 	return rec, lrec, nil
 }
 
-// directory is the operation surface core.Directory and the goroutine
-// runtime share.
+// directory is the operation surface core.Directory, the goroutine
+// runtime and the baselines' treedir.Directory share.
 type directory interface {
 	Publish(core.ObjectID, graph.NodeID) error
 	Move(core.ObjectID, graph.NodeID) error
 	Query(graph.NodeID, core.ObjectID) (graph.NodeID, float64, error)
 }
 
-// replay drives the workload through d one operation at a time, so on the
-// runtime the recorder's cost clock (and with it the trace) is
-// deterministic. An error stops the replay unless keep tolerates it.
+// replay drives the workload through d one operation at a time: publishes,
+// moves, then queries. On the runtime this keeps the recorder's cost clock
+// (and with it the trace) deterministic. An error stops the replay unless
+// keep tolerates it.
 func replay(d directory, w *mobility.Workload, keep func(error) bool) error {
 	check := func(err error) error {
 		if err != nil && keep != nil && keep(err) {

@@ -1,6 +1,8 @@
 // Package sim provides a discrete-event simulation of concurrent MOT and
 // baseline executions (the paper's "concurrent case", §4.1.2 and §4.2.2).
-// MOTSim is a driver of core's station handler, the one Algorithm 1.
+// MOTSim is a driver of core's station handler, the one Algorithm 1, and
+// TreeSim a driver of treedir's per-node handler, the one set of
+// pruning-tree rules behind the STUN and Z-DAT baselines.
 //
 // Time is measured in the paper's unit: the duration a message needs to
 // travel unit distance, so delivering a message between hosts u and v takes

@@ -94,29 +94,3 @@ func TestRedirectsBoundRestarts(t *testing.T) {
 		t.Fatalf("redirects increased restarts: %d vs %d", redirected, plain)
 	}
 }
-
-// Tree baselines support the same forwarding-tombstone redirects.
-func TestTreeRedirectsStillCorrect(t *testing.T) {
-	g := graph.Grid(7, 7)
-	m := graph.NewMetric(g)
-	w, err := mobility.Generate(g, m, mobility.Config{Objects: 5, MovesPerObject: 30, Queries: 40, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, redirects := range []bool{false, true} {
-		s, eng := buildTreeSim(t, g, m, w, false, false)
-		s.cfg.Redirects = redirects
-		if _, err := Schedule(s, w, DriverConfig{Diameter: m.Diameter(), Seed: 6}); err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.CheckInvariants(); err != nil {
-			t.Fatalf("redirects=%t: %v", redirects, err)
-		}
-		if got := len(s.Results()); got != len(w.Queries) {
-			t.Fatalf("redirects=%t: %d of %d queries", redirects, got, len(w.Queries))
-		}
-	}
-}

@@ -220,7 +220,10 @@ func TestMOTDeterministic(t *testing.T) {
 	}
 }
 
-func buildTreeSim(t testing.TB, g *graph.Graph, m *graph.Metric, w *mobility.Workload, sink bool, shortcuts bool) (*TreeSim, *Engine) {
+// testTree builds a baseline tree over the workload's detection rates:
+// STUN's with sink queries, else Z-DAT's (zone depth 2, sink at the
+// metric center) with or without shortcuts.
+func testTree(t testing.TB, g *graph.Graph, m *graph.Metric, w *mobility.Workload, sink bool, shortcuts bool) (*treedir.Tree, treedir.Config) {
 	t.Helper()
 	rates := w.DetectionRates(g)
 	var tr *treedir.Tree
@@ -236,8 +239,14 @@ func buildTreeSim(t testing.TB, g *graph.Graph, m *graph.Metric, w *mobility.Wor
 	if err != nil {
 		t.Fatal(err)
 	}
+	return tr, tc
+}
+
+func buildTreeSim(t testing.TB, g *graph.Graph, m *graph.Metric, w *mobility.Workload, sink bool, shortcuts bool) (*TreeSim, *Engine) {
+	t.Helper()
+	tr, tc := testTree(t, g, m, w, sink, shortcuts)
 	eng := NewEngine(0)
-	s, err := NewTree(tr, m, eng, Config{}, tc)
+	s, err := NewTree(tr, m, eng, tc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,20 +256,22 @@ func buildTreeSim(t testing.TB, g *graph.Graph, m *graph.Metric, w *mobility.Wor
 func TestTreeSimAllVariantsSettle(t *testing.T) {
 	g := graph.Grid(7, 7)
 	m := graph.NewMetric(g)
-	w, err := mobility.Generate(g, m, mobility.Config{Objects: 5, MovesPerObject: 30, Queries: 40, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, mode := range []struct {
 		name            string
 		sink, shortcuts bool
+		seed            int64
 	}{
-		{"stun", true, false},
-		{"zdat", false, false},
-		{"zdat+sc", false, true},
+		{"stun", true, false, 5},
+		{"zdat", false, false, 5},
+		{"zdat+sc", false, true, 5},
+		{"zdat seed 6", false, false, 6},
 	} {
+		w, err := mobility.Generate(g, m, mobility.Config{Objects: 5, MovesPerObject: 30, Queries: 40, Seed: mode.seed})
+		if err != nil {
+			t.Fatal(err)
+		}
 		s, eng := buildTreeSim(t, g, m, w, mode.sink, mode.shortcuts)
-		if _, err := Schedule(s, w, DriverConfig{Diameter: m.Diameter(), Seed: 5}); err != nil {
+		if _, err := Schedule(s, w, DriverConfig{Diameter: m.Diameter(), Seed: mode.seed}); err != nil {
 			t.Fatalf("%s: %v", mode.name, err)
 		}
 		if err := eng.Run(); err != nil {
@@ -292,7 +303,7 @@ func TestTreeSimSpanningTreeAncestorMove(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := NewEngine(0)
-	s, err := NewTree(tr, m, eng, Config{}, treedir.Config{})
+	s, err := NewTree(tr, m, eng, treedir.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

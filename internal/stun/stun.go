@@ -195,16 +195,6 @@ func medoid(m *graph.Metric, mem []graph.NodeID) graph.NodeID {
 	return best
 }
 
-// New builds a STUN directory: the DAB tree plus the sink-initiated query
-// discipline.
-func New(g *graph.Graph, m *graph.Metric, rates map[mobility.EdgeKey]float64) (*treedir.Directory, error) {
-	tr, err := BuildTree(g, m, rates)
-	if err != nil {
-		return nil, err
-	}
-	return treedir.New(tr, m, treedir.Config{SinkQueries: true})
-}
-
 // unionFind is a standard path-compressing disjoint-set forest.
 type unionFind struct {
 	parent []int

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/mobility"
+	"repro/internal/treedir"
 )
 
 func workloadRates(t testing.TB, g *graph.Graph, m *graph.Metric, seed int64) (*mobility.Workload, map[mobility.EdgeKey]float64) {
@@ -102,7 +103,11 @@ func TestDirectoryEndToEnd(t *testing.T) {
 	g := graph.Grid(6, 6)
 	m := graph.NewMetric(g)
 	w, rates := workloadRates(t, g, m, 5)
-	d, err := New(g, m, rates)
+	tr, err := BuildTree(g, m, rates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := treedir.New(tr, m, treedir.Config{SinkQueries: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,48 +7,25 @@ import (
 	"repro/internal/graph"
 )
 
-// Config selects the baseline's query discipline.
-type Config struct {
-	// SinkQueries routes every query through the tree root first (STUN's
-	// sink-initiated model): the requester sends the query to the sink,
-	// which resolves it by descending the pruning tree.
-	SinkQueries bool
-	// Shortcuts lets a query jump straight from the discovery node to the
-	// proxy along the graph shortest path instead of walking the tree
-	// downward (the message-pruning tree with shortcuts of Liu et al.,
-	// used by the Z-DAT + shortcuts baseline).
-	Shortcuts bool
-}
-
-// Directory is a message-pruning tree directory over a finalized Tree.
+// Directory is a message-pruning tree directory over a finalized Tree, the
+// handler's sequential driver: it applies each operation at once.
 type Directory struct {
-	t   *Tree
-	m   *graph.Metric
-	cfg Config
-
-	dl    []map[core.ObjectID]int // per tree node: object -> child pointer (-1 at the proxy leaf)
-	loc   map[core.ObjectID]graph.NodeID
-	meter core.CostMeter
+	h   *Handler
+	loc map[core.ObjectID]graph.NodeID
 }
 
 // New creates a directory over a finalized tree. It returns an error if the
 // tree has not been finalized.
 func New(t *Tree, m *graph.Metric, cfg Config) (*Directory, error) {
-	if !t.final {
-		return nil, fmt.Errorf("treedir: tree not finalized")
+	h, err := NewHandler(t, m, cfg)
+	if err != nil {
+		return nil, err
 	}
-	dl := make([]map[core.ObjectID]int, t.Len())
-	for i := range dl {
-		dl[i] = make(map[core.ObjectID]int)
-	}
-	return &Directory{t: t, m: m, cfg: cfg, dl: dl, loc: make(map[core.ObjectID]graph.NodeID)}, nil
+	return &Directory{h: h, loc: make(map[core.ObjectID]graph.NodeID)}, nil
 }
 
 // Meter returns a snapshot of the cost counters.
-func (d *Directory) Meter() core.CostMeter { return d.meter }
-
-// ResetMeter zeroes the cost counters.
-func (d *Directory) ResetMeter() { d.meter = core.CostMeter{} }
+func (d *Directory) Meter() core.CostMeter { return d.h.Meter }
 
 // Location returns the current proxy of o.
 func (d *Directory) Location(o core.ObjectID) (graph.NodeID, bool) {
@@ -61,22 +38,14 @@ func (d *Directory) Publish(o core.ObjectID, at graph.NodeID) error {
 	if cur, ok := d.loc[o]; ok {
 		return fmt.Errorf("treedir: object %d already published at %d", o, cur)
 	}
-	leaf := d.t.Leaf(at)
-	if leaf < 0 {
-		return fmt.Errorf("treedir: sensor %d has no leaf", at)
+	m, err := d.h.NewMsg(core.PublishMsg, o, at)
+	if err != nil {
+		return err
 	}
-	cost := 0.0
-	child := -1
-	for id := leaf; id != -1; id = d.t.Parent(id) {
-		if child != -1 {
-			cost += d.m.Dist(d.t.Host(child), d.t.Host(id))
-		}
-		d.dl[id][o] = child
-		child = id
-	}
+	d.h.Walk(&m)
 	d.loc[o] = at
-	d.meter.PublishCost += cost
-	d.meter.PublishOps++
+	d.h.Meter.PublishCost += m.Cost
+	d.h.Meter.PublishOps++
 	return nil
 }
 
@@ -91,40 +60,15 @@ func (d *Directory) Move(o core.ObjectID, to graph.NodeID) error {
 	if from == to {
 		return nil
 	}
-	leaf := d.t.Leaf(to)
-	if leaf < 0 {
-		return fmt.Errorf("treedir: sensor %d has no leaf", to)
+	m, err := d.h.NewMsg(core.MoveMsg, o, to)
+	if err != nil {
+		return err
 	}
-	cost := 0.0
-	child := -1
-	peak := -1
-	for id := leaf; id != -1; id = d.t.Parent(id) {
-		if child != -1 {
-			cost += d.m.Dist(d.t.Host(child), d.t.Host(id))
-		}
-		if _, has := d.dl[id][o]; has {
-			peak = id
-			break
-		}
-		d.dl[id][o] = child
-		child = id
-	}
-	if peak < 0 {
-		return fmt.Errorf("treedir: insert for object %d passed the root", o)
-	}
-	oldChild := d.dl[peak][o]
-	d.dl[peak][o] = child
-	// Prune the old branch.
-	prevHost := d.t.Host(peak)
-	for id := oldChild; id != -1; {
-		cost += d.m.Dist(prevHost, d.t.Host(id))
-		prevHost = d.t.Host(id)
-		next := d.dl[id][o]
-		delete(d.dl[id], o)
-		id = next
+	if v := d.h.Walk(&m); v != core.Done {
+		return stopped(&m, v)
 	}
 	d.loc[o] = to
-	d.meter.AddMaintSample(cost, d.m.Dist(from, to))
+	d.h.Meter.AddMaintSample(m.Cost, d.h.m.Dist(from, to))
 	return nil
 }
 
@@ -135,100 +79,26 @@ func (d *Directory) Query(from graph.NodeID, o core.ObjectID) (graph.NodeID, flo
 	if !ok {
 		return graph.Undefined, 0, fmt.Errorf("treedir: object %d not published", o)
 	}
-	cost := 0.0
-	var start int
-	if d.cfg.SinkQueries {
-		// Requester ships the query to the sink (tree root) first.
-		cost += d.m.Dist(from, d.t.Host(d.t.Root()))
-		start = d.t.Root()
-		if _, has := d.dl[start][o]; !has {
-			return graph.Undefined, cost, fmt.Errorf("treedir: root lost object %d", o)
-		}
-	} else {
-		leaf := d.t.Leaf(from)
-		if leaf < 0 {
-			return graph.Undefined, 0, fmt.Errorf("treedir: sensor %d has no leaf", from)
-		}
-		id := leaf
-		prev := -1
-		for {
-			if prev != -1 {
-				cost += d.m.Dist(d.t.Host(prev), d.t.Host(id))
-			}
-			if _, has := d.dl[id][o]; has {
-				break
-			}
-			prev = id
-			id = d.t.Parent(id)
-			if id == -1 {
-				return graph.Undefined, cost, fmt.Errorf("treedir: query for %d passed the root", o)
-			}
-		}
-		start = id
+	m, err := d.h.NewMsg(core.QueryMsg, o, from)
+	if err != nil {
+		return graph.Undefined, 0, err
 	}
+	m.Truth = proxy
+	if v := d.h.Walk(&m); v != core.Done {
+		return graph.Undefined, m.Cost, stopped(&m, v)
+	}
+	d.h.Meter.AddQuerySample(m.Cost, d.h.m.Dist(from, proxy))
+	return proxy, m.Cost, nil
+}
 
-	if d.cfg.Shortcuts {
-		cost += d.m.Dist(d.t.Host(start), proxy)
-	} else {
-		prevHost := d.t.Host(start)
-		for id := d.dl[start][o]; id != -1; {
-			cost += d.m.Dist(prevHost, d.t.Host(id))
-			prevHost = d.t.Host(id)
-			id = d.dl[id][o]
-		}
-		if prevHost != proxy {
-			return graph.Undefined, cost, fmt.Errorf("treedir: descent for %d ended at %d, proxy %d", o, prevHost, proxy)
-		}
-	}
-	d.meter.AddQuerySample(cost, d.m.Dist(from, proxy))
-	return proxy, cost, nil
+func stopped(m *Msg, v core.Verdict) error {
+	return fmt.Errorf("treedir: object %d from sensor %d: %v at tree node %d", m.Obj, m.Owner, v, m.At)
 }
 
 // LoadByNode returns the number of detection entries stored at each
-// physical sensor (tree nodes map onto their hosts).
-func (d *Directory) LoadByNode(n int) []int {
-	counts := make([]int, n)
-	for id, entries := range d.dl {
-		h := d.t.Host(id)
-		if int(h) >= 0 && int(h) < n {
-			counts[h] += len(entries)
-		}
-	}
-	return counts
-}
+// sensor (tree nodes count at their hosts).
+func (d *Directory) LoadByNode() []int { return d.h.LoadByNode() }
 
 // CheckInvariants verifies that every published object has a clean pointer
 // trail from the root to its proxy leaf and no orphaned entries.
-func (d *Directory) CheckInvariants() error {
-	perObject := make(map[core.ObjectID]int)
-	for _, entries := range d.dl {
-		for o := range entries {
-			perObject[o]++
-		}
-	}
-	for o, proxy := range d.loc {
-		id := d.t.Root()
-		steps := 0
-		for {
-			child, has := d.dl[id][o]
-			if !has {
-				return fmt.Errorf("treedir: trail for %d broken at node %d", o, id)
-			}
-			steps++
-			if child == -1 {
-				break
-			}
-			id = child
-		}
-		if d.t.Host(id) != proxy {
-			return fmt.Errorf("treedir: trail for %d ends at %d, proxy %d", o, d.t.Host(id), proxy)
-		}
-		if leaf := d.t.Leaf(proxy); leaf != id {
-			return fmt.Errorf("treedir: trail for %d ends at non-leaf %d", o, id)
-		}
-		if perObject[o] != steps {
-			return fmt.Errorf("treedir: object %d has %d entries, trail has %d", o, perObject[o], steps)
-		}
-	}
-	return nil
-}
+func (d *Directory) CheckInvariants() error { return d.h.CheckInvariants(d.loc) }

@@ -152,13 +152,3 @@ func (t *Tree) Depth(id int) int {
 	}
 	return d
 }
-
-// PathToRoot returns the tree nodes from id (inclusive) to the root.
-func (t *Tree) PathToRoot(id int) []int {
-	var out []int
-	for id != -1 {
-		out = append(out, id)
-		id = t.parent[id]
-	}
-	return out
-}

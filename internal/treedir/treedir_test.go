@@ -78,9 +78,6 @@ func TestTreeBuilderValidation(t *testing.T) {
 	if tr.Depth(a) != 1 || tr.Depth(r) != 0 {
 		t.Fatal("depths wrong")
 	}
-	if p := tr.PathToRoot(a); len(p) != 2 || p[1] != r {
-		t.Fatalf("path %v", p)
-	}
 	if _, err := tr.AddLeaf(5); err == nil {
 		t.Fatal("mutation after finalize accepted")
 	}
@@ -236,7 +233,7 @@ func TestLoadByNode(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	load := d.LoadByNode(g.N())
+	load := d.LoadByNode()
 	// Every object's trail passes the root host.
 	if load[12] < 10 {
 		t.Fatalf("root load %d, want >= 10", load[12])
@@ -264,5 +261,59 @@ func TestMoveNoop(t *testing.T) {
 	}
 	if d.Meter() != before {
 		t.Fatal("no-op move changed meter")
+	}
+}
+
+// The handler names why a walk stopped: a climb past the root, a trail
+// ending at a leaf other than Truth's, a shortcut landing off Truth, and
+// a lost trail, which the Directory reports as an error.
+func TestHandlerStops(t *testing.T) {
+	g := graph.Path(4)
+	m := graph.NewMetric(g)
+	tr := spanningTree(t, g, 0) // 0 is the root; 3 the deepest leaf
+	h, err := NewHandler(tr, m, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.NewMsg(core.QueryMsg, 1, 99); err == nil {
+		t.Fatal("sensor without a leaf accepted")
+	}
+	q, _ := h.NewMsg(core.QueryMsg, 1, 3)
+	if v := h.Walk(&q); v != core.TrailLost || !q.Climbing() {
+		t.Fatalf("query for an unpublished object: %v, climbing %t", v, q.Climbing())
+	}
+	p, _ := h.NewMsg(core.PublishMsg, 1, 3)
+	if v := h.Walk(&p); v != core.Done {
+		t.Fatalf("publish: %v", v)
+	}
+	q, _ = h.NewMsg(core.QueryMsg, 1, 0)
+	q.Truth = 2
+	if v := h.Walk(&q); v != core.StaleProxy || tr.Host(q.At) != 3 {
+		t.Fatalf("query with a stale trail: %v at %d", v, q.At)
+	}
+
+	short, _ := NewHandler(tr, m, Config{Shortcuts: true})
+	p, _ = short.NewMsg(core.PublishMsg, 1, 3)
+	short.Walk(&p)
+	q, _ = short.NewMsg(core.QueryMsg, 1, 0)
+	q.Truth = 3
+	if v := short.Step(&q); v != core.Forward || tr.Host(q.Next) != 3 {
+		t.Fatalf("the root's hit did not jump to Truth's leaf: %v to %d", v, q.Next)
+	}
+	q.At, q.Truth = q.Next, 2 // the object moved on during the jump
+	if v := short.Step(&q); v != core.TrailLost {
+		t.Fatalf("shortcut off Truth: %v", v)
+	}
+
+	d, _ := New(tr, m, Config{})
+	if err := d.Publish(1, 3); err != nil {
+		t.Fatal(err)
+	}
+	delete(d.h.dl[tr.Leaf(2)], 1)
+	if _, _, err := d.Query(0, 1); err == nil {
+		t.Fatal("query over a broken trail succeeded")
+	}
+	if err := d.CheckInvariants(); err == nil {
+		t.Fatal("broken trail passed the invariant check")
 	}
 }

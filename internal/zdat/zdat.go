@@ -26,11 +26,9 @@ type Config struct {
 	// is split into 4^ZoneDepth rectangular zones. Zero means plain DAT
 	// (one zone).
 	ZoneDepth int
-	// Shortcuts enables the shortcuts query variant: descend from the
-	// discovery node straight to the proxy along the graph shortest path.
-	Shortcuts bool
 	// Sink is the tree root; Undefined selects the metric center, the
-	// natural sink placement.
+	// natural sink placement. Any other sensor outside the network is an
+	// error.
 	Sink graph.NodeID
 }
 
@@ -44,8 +42,10 @@ func BuildTree(g *graph.Graph, m *graph.Metric, rates map[mobility.EdgeKey]float
 		return nil, fmt.Errorf("zdat: graph must be connected")
 	}
 	sink := cfg.Sink
-	if sink == graph.Undefined || int(sink) >= n {
+	if sink == graph.Undefined {
 		sink = m.Center()
+	} else if sink < 0 || int(sink) >= n {
+		return nil, fmt.Errorf("zdat: sink %d out of range [0,%d)", sink, n)
 	}
 	zones := zoneIDs(g, cfg.ZoneDepth)
 
@@ -144,13 +144,4 @@ func zoneIDs(g *graph.Graph, depth int) []int {
 		zones[u] = zy*side + zx
 	}
 	return zones
-}
-
-// New builds a Z-DAT directory (climbing queries; shortcuts per config).
-func New(g *graph.Graph, m *graph.Metric, rates map[mobility.EdgeKey]float64, cfg Config) (*treedir.Directory, error) {
-	tr, err := BuildTree(g, m, rates, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return treedir.New(tr, m, treedir.Config{Shortcuts: cfg.Shortcuts})
 }

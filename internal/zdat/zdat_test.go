@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/mobility"
+	"repro/internal/treedir"
 )
 
 func rates(t testing.TB, g *graph.Graph, m *graph.Metric, seed int64) (*mobility.Workload, map[mobility.EdgeKey]float64) {
@@ -16,6 +17,21 @@ func rates(t testing.TB, g *graph.Graph, m *graph.Metric, seed int64) (*mobility
 		t.Fatal(err)
 	}
 	return w, w.DetectionRates(g)
+}
+
+// directory builds the Z-DAT tree and its directory, with or without
+// shortcut queries.
+func directory(t testing.TB, g *graph.Graph, m *graph.Metric, r map[mobility.EdgeKey]float64, cfg Config, shortcuts bool) *treedir.Directory {
+	t.Helper()
+	tr, err := BuildTree(g, m, r, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := treedir.New(tr, m, treedir.Config{Shortcuts: shortcuts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
 func TestBuildTreeRejectsBadGraph(t *testing.T) {
@@ -127,10 +143,7 @@ func TestEndToEndBothVariants(t *testing.T) {
 	m := graph.NewMetric(g)
 	w, r := rates(t, g, m, 3)
 	for _, shortcuts := range []bool{false, true} {
-		d, err := New(g, m, r, Config{ZoneDepth: 2, Shortcuts: shortcuts})
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := directory(t, g, m, r, Config{ZoneDepth: 2}, shortcuts)
 		for o, at := range w.Initial {
 			if err := d.Publish(core.ObjectID(o), at); err != nil {
 				t.Fatal(err)
@@ -165,10 +178,7 @@ func TestShortcutsImproveQueries(t *testing.T) {
 	m := graph.NewMetric(g)
 	w, r := rates(t, g, m, 9)
 	run := func(shortcuts bool) float64 {
-		d, err := New(g, m, r, Config{ZoneDepth: 1, Shortcuts: shortcuts})
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := directory(t, g, m, r, Config{ZoneDepth: 1}, shortcuts)
 		for o, at := range w.Initial {
 			if err := d.Publish(core.ObjectID(o), at); err != nil {
 				t.Fatal(err)
@@ -188,5 +198,32 @@ func TestShortcutsImproveQueries(t *testing.T) {
 	}
 	if plain, short := run(false), run(true); short > plain+1e-9 {
 		t.Fatalf("shortcut queries cost more: %v vs %v", short, plain)
+	}
+}
+
+// A sink outside the network is an error, never a silent switch to the
+// metric center or a panic; Undefined alone selects the center.
+func TestBuildTreeRejectsBadSink(t *testing.T) {
+	g := graph.Grid(4, 4)
+	m := graph.NewMetric(g)
+	for _, c := range []struct {
+		sink graph.NodeID
+		ok   bool
+	}{
+		{graph.Undefined, true},
+		{0, true},
+		{15, true},
+		{16, false},
+		{99, false},
+		{-2, false},
+		{-5, false},
+	} {
+		tr, err := BuildTree(g, m, nil, Config{Sink: c.sink})
+		if (err == nil) != c.ok {
+			t.Fatalf("sink %d: err %v, want ok=%t", c.sink, err, c.ok)
+		}
+		if c.ok && c.sink != graph.Undefined && tr.Host(tr.Root()) != c.sink {
+			t.Fatalf("sink %d: root hosted at %d", c.sink, tr.Host(tr.Root()))
+		}
 	}
 }
