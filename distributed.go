@@ -15,7 +15,6 @@ import (
 // the same Algorithm 1 handler as Tracker. It trades Tracker's detailed
 // metering for distributed execution.
 type Distributed struct {
-	g  *Graph
 	tr *runtime.Tracker
 }
 
@@ -45,7 +44,7 @@ func NewDistributed(g *Graph, opt Options) (*Distributed, error) {
 			MaxAttempts: c.MaxAttempts,
 		}, g.N())
 	}
-	return &Distributed{g: g, tr: runtime.New(g, hs, runtime.Options{Chaos: inj, Obs: opt.Obs})}, nil
+	return &Distributed{tr: runtime.New(g, hs, runtime.Options{Chaos: inj, Obs: opt.Obs})}, nil
 }
 
 // LoadByNode returns each sensor's stored DL and SDL entry count (a
@@ -74,9 +73,6 @@ func (d *Distributed) FaultTrace() *FaultTrace { return d.tr.FaultTrace() }
 // Publish introduces object o at sensor at; it returns once the detection
 // trail reaches the root. A failed publish has no effect.
 func (d *Distributed) Publish(o ObjectID, at NodeID) error {
-	if err := checkSensor(d.g, at); err != nil {
-		return err
-	}
 	return d.tr.Publish(o, at)
 }
 
@@ -84,18 +80,12 @@ func (d *Distributed) Publish(o ObjectID, at NodeID) error {
 // operation completes. A failed move has no effect. Same-object moves
 // serialize; different objects proceed concurrently.
 func (d *Distributed) Move(o ObjectID, to NodeID) error {
-	if err := checkSensor(d.g, to); err != nil {
-		return err
-	}
 	return d.tr.Move(o, to)
 }
 
 // Query locates o from sensor from, returning the proxy and the search
 // walk's communication cost.
 func (d *Distributed) Query(from NodeID, o ObjectID) (NodeID, float64, error) {
-	if err := checkSensor(d.g, from); err != nil {
-		return Undefined, 0, err
-	}
 	return d.tr.Query(from, o)
 }
 

@@ -39,7 +39,9 @@
 // motserve's (sigma derived, so it includes the doubling estimate). The
 // build rows are unpinned: their allocs/op drift between runs, because
 // the oracle's ball searches (Oracle.Scan) draw their scratch from a
-// sync.Pool that GC can empty.
+// sync.Pool that GC can empty. sim/concurrent-256 runs the discrete-event
+// simulator alone on one concurrent cell of the paper sweep's shape; the
+// sweep/* rows run one-by-one cells only.
 package bench
 
 import (
@@ -58,9 +60,14 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/hier"
+	"repro/internal/mobility"
 	"repro/internal/obs/live"
 	motruntime "repro/internal/runtime"
 	"repro/internal/serve"
+	"repro/internal/sim"
+	"repro/internal/stun"
+	"repro/internal/treedir"
+	"repro/internal/zdat"
 )
 
 // Result is one benchmark's outcome in flat, diff-friendly units.
@@ -365,6 +372,71 @@ func churnCell() Result {
 	})
 }
 
+// simConcurrent measures the discrete-event simulator on one concurrent
+// cell of the sweep-paper shape at 256 sensors: 100 objects × 200 moves
+// and 100 queries. Each iteration schedules the workload and runs it to
+// quiescence for MOT and for the three tree baselines. The grid, its
+// metric, the single-parent overlay, the baseline trees and the workload
+// are built once, outside the loop; the simulators only read them.
+func simConcurrent() Result {
+	g := graph.Grid(16, 16)
+	m := graph.NewMetric(g)
+	hs, err := hier.Build(g, m, hier.Config{Seed: 1, SpecialParentOffset: 2})
+	if err != nil {
+		panic(err)
+	}
+	w, err := mobility.Generate(g, m, mobility.Config{Objects: 100, MovesPerObject: 200, Queries: 100, Seed: 1})
+	if err != nil {
+		panic(err)
+	}
+	rates := w.DetectionRates(g)
+	st, err := stun.BuildTree(g, m, rates)
+	if err != nil {
+		panic(err)
+	}
+	zt, err := zdat.BuildTree(g, m, rates, zdat.Config{ZoneDepth: experiments.DefaultZoneDepth, Sink: graph.Undefined})
+	if err != nil {
+		panic(err)
+	}
+	dcfg := sim.DriverConfig{Diameter: m.Diameter(), Seed: 1}
+	run := func(eng *sim.Engine, target sim.Target) int64 {
+		if _, err := sim.Schedule(target, w, dcfg); err != nil {
+			panic(err)
+		}
+		if err := eng.Run(); err != nil {
+			panic(err)
+		}
+		return eng.Steps()
+	}
+	var steps int64
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			eng := sim.NewEngine(0)
+			ms, err := sim.NewMOT(hs, eng, sim.Config{PeriodSync: true})
+			if err != nil {
+				panic(err)
+			}
+			steps = run(eng, ms)
+			for _, c := range []struct {
+				t  *treedir.Tree
+				tc treedir.Config
+			}{{st, treedir.Config{SinkQueries: true}}, {zt, treedir.Config{}}, {zt, treedir.Config{Shortcuts: true}}} {
+				eng := sim.NewEngine(0)
+				ts, err := sim.NewTree(c.t, m, eng, c.tc)
+				if err != nil {
+					panic(err)
+				}
+				steps += run(eng, ts)
+			}
+		}
+	})
+	return toResult("sim/concurrent-256", r, map[string]float64{
+		"events_per_op": float64(steps),
+		"ns_per_event":  float64(r.T.Nanoseconds()) / float64(r.N) / float64(steps),
+	})
+}
+
 // liveNilSink measures the disabled live-telemetry fast path in
 // isolation: a Start/Observe pair on a nil *Recorder. The pin is the
 // PR-9 overhead contract's first half — live-off must stay a pointer
@@ -536,7 +608,7 @@ func Run() *Report {
 		// The scale harness's hierarchy, and motserve's at 16,384 sensors.
 		hierBuild(10000, graph.OracleConfig{}, hier.Config{Seed: 1, SpecialParentOffset: 2}),
 		hierBuild(16384, graph.OracleConfig{Seed: 1}, hier.Config{Seed: 1}),
-		scaleCell(), churnCell())
+		scaleCell(), churnCell(), simConcurrent())
 	for _, class := range []string{"publish", "move", "query"} {
 		benchmarks = append(benchmarks, best(3, func() Result { return serveOps(class) }))
 	}

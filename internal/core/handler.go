@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/overlay"
@@ -137,6 +139,15 @@ func NewHandler(ov overlay.Overlay, cfg Config) *Handler {
 		cfg.Placement = HostPlacement{}
 	}
 	return &Handler{ov: ov, m: ov.Metric(), cfg: cfg, slots: make(map[slotKey]*slot)}
+}
+
+// CheckSensor reports a sensor outside the overlay's graph, naming it and
+// the range. NewMsg expects a sensor that passed it.
+func (h *Handler) CheckSensor(n graph.NodeID) error {
+	if size := h.m.Graph().N(); n < 0 || int(n) >= size {
+		return fmt.Errorf("sensor %d out of range [0,%d)", n, size)
+	}
+	return nil
 }
 
 // NewMsg starts an operation of o at node owner's bottom station.

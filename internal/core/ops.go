@@ -26,6 +26,9 @@ func (d *Directory) Publish(o ObjectID, at graph.NodeID) error {
 // introduce stamps a new object's trail from proxy at, for Publish and
 // Restore alike, and returns the walk cost.
 func (d *Directory) introduce(kind string, o ObjectID, at graph.NodeID) (float64, error) {
+	if err := d.h.CheckSensor(at); err != nil {
+		return 0, fmt.Errorf("core: %w", err)
+	}
 	if cur, ok := d.loc[o]; ok {
 		return 0, fmt.Errorf("core: object %d already published at node %d", o, cur)
 	}
@@ -47,6 +50,9 @@ func (d *Directory) introduce(kind string, o ObjectID, at graph.NodeID) (float64
 func (d *Directory) Move(o ObjectID, to graph.NodeID) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if err := d.h.CheckSensor(to); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
 	from, ok := d.loc[o]
 	if !ok {
 		return fmt.Errorf("core: object %d not published", o)
@@ -101,6 +107,9 @@ func (d *Directory) Query(from graph.NodeID, o ObjectID) (graph.NodeID, float64,
 func (d *Directory) QueryTraced(from graph.NodeID, o ObjectID) (graph.NodeID, QueryTrace, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if err := d.h.CheckSensor(from); err != nil {
+		return graph.Undefined, QueryTrace{}, fmt.Errorf("core: %w", err)
+	}
 	proxy, ok := d.loc[o]
 	if !ok {
 		return graph.Undefined, QueryTrace{}, fmt.Errorf("core: object %d not published", o)

@@ -359,6 +359,9 @@ func (t *Tracker) Publish(o core.ObjectID, at graph.NodeID) error {
 }
 
 func (t *Tracker) publish(o core.ObjectID, at graph.NodeID) error {
+	if err := t.h.CheckSensor(at); err != nil {
+		return fmt.Errorf("runtime: %w", err)
+	}
 	mu, err := t.lock(o)
 	if err != nil {
 		return err
@@ -392,6 +395,9 @@ func (t *Tracker) Move(o core.ObjectID, to graph.NodeID) error {
 }
 
 func (t *Tracker) move(o core.ObjectID, to graph.NodeID) error {
+	if err := t.h.CheckSensor(to); err != nil {
+		return fmt.Errorf("runtime: %w", err)
+	}
 	mu, err := t.lock(o)
 	if err != nil {
 		return err
@@ -429,6 +435,9 @@ func (t *Tracker) Query(from graph.NodeID, o core.ObjectID) (graph.NodeID, float
 }
 
 func (t *Tracker) query(from graph.NodeID, o core.ObjectID) (graph.NodeID, float64, error) {
+	if err := t.h.CheckSensor(from); err != nil {
+		return graph.Undefined, 0, fmt.Errorf("runtime: %w", err)
+	}
 	// Queries share the object's serialization lock so they never observe
 	// a half-updated trail (the runtime's one-by-one discipline).
 	mu, err := t.lock(o)

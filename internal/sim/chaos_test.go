@@ -34,18 +34,30 @@ func (f *fakeInjector) Fail(op uint64, hop, attempts int, dest graph.NodeID, now
 	return &chaos.DeliveryError{Op: op, Hop: hop, Attempts: attempts, Dest: dest}
 }
 
+// testMsg records what the fault layer does with one message.
+type testMsg struct {
+	e        *Engine
+	attempts int
+	firedAt  float64 // -1 until delivered
+	failed   error
+}
+
+func newTestMsg(e *Engine) *testMsg { return &testMsg{e: e, firedAt: -1} }
+
+func (m *testMsg) Attempt(int)    { m.attempts++ }
+func (m *testMsg) Fire()          { m.firedAt = m.e.Now() }
+func (m *testMsg) Fail(err error) { m.failed = err }
+
 // Without an injector, Deliver must be byte-identical to After(dist, fn).
 func TestChaosDeliverFaultFreeMatchesAfter(t *testing.T) {
 	e := NewEngine(0)
-	attempts, at := 0, -1.0
-	e.Deliver(Delivery{Op: 1, Hop: 1, Dest: 3, Dist: 2.5,
-		OnAttempt: func(int) { attempts++ },
-		Fn:        func() { at = e.Now() }})
+	msg := newTestMsg(e)
+	e.Deliver(Delivery{Op: 1, Hop: 1, Dest: 3, Dist: 2.5, Msg: msg})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if attempts != 1 || at != 2.5 {
-		t.Fatalf("attempts=%d deliveredAt=%v, want 1 and 2.5", attempts, at)
+	if msg.attempts != 1 || msg.firedAt != 2.5 {
+		t.Fatalf("attempts=%d deliveredAt=%v, want 1 and 2.5", msg.attempts, msg.firedAt)
 	}
 }
 
@@ -54,35 +66,36 @@ func TestChaosDeliverRetriesThenDelivers(t *testing.T) {
 	e := NewEngine(0)
 	f := &fakeInjector{dropN: 2, max: 5, backoff: 3}
 	e.SetFaults(f)
-	attempts, at := 0, -1.0
-	e.Deliver(Delivery{Op: 1, Hop: 1, Dest: 0, Dist: 2,
-		OnAttempt: func(int) { attempts++ },
-		Fn:        func() { at = e.Now() },
-		OnFail:    func(error) { t.Fatal("unexpected failure") }})
+	msg := newTestMsg(e)
+	e.Deliver(Delivery{Op: 1, Hop: 1, Dest: 0, Dist: 2, Msg: msg})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
+	if msg.failed != nil {
+		t.Fatalf("unexpected failure: %v", msg.failed)
+	}
 	// Two drops: each costs dist(2)+backoff(3); third attempt travels 2.
-	if attempts != 3 || at != 12 {
-		t.Fatalf("attempts=%d deliveredAt=%v, want 3 and 12", attempts, at)
+	if msg.attempts != 3 || msg.firedAt != 12 {
+		t.Fatalf("attempts=%d deliveredAt=%v, want 3 and 12", msg.attempts, msg.firedAt)
 	}
 }
 
-// Exhausting the budget surfaces the typed error via OnFail.
+// Exhausting the budget surfaces the typed error via Fail.
 func TestChaosDeliverFailsAfterMaxAttempts(t *testing.T) {
 	e := NewEngine(0)
 	f := &fakeInjector{dropAll: true, max: 3, backoff: 1}
 	e.SetFaults(f)
-	var got error
-	e.Deliver(Delivery{Op: 7, Hop: 2, Dest: 5, Dist: 1,
-		Fn:     func() { t.Fatal("delivered despite dropAll") },
-		OnFail: func(err error) { got = err }})
+	msg := newTestMsg(e)
+	e.Deliver(Delivery{Op: 7, Hop: 2, Dest: 5, Dist: 1, Msg: msg})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
+	if msg.firedAt >= 0 {
+		t.Fatalf("delivered at %v despite dropAll", msg.firedAt)
+	}
 	var de *chaos.DeliveryError
-	if !errors.As(got, &de) {
-		t.Fatalf("OnFail got %T %v, want *chaos.DeliveryError", got, got)
+	if !errors.As(msg.failed, &de) {
+		t.Fatalf("Fail got %T %v, want *chaos.DeliveryError", msg.failed, msg.failed)
 	}
 	if de.Op != 7 || de.Attempts != 3 || de.Dest != 5 {
 		t.Fatalf("DeliveryError = %+v", de)

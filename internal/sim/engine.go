@@ -21,47 +21,58 @@
 // stale proxy waits for the delete message, which carries the new proxy
 // (§3, "In this way, queries can be successful even while a move is in
 // progress").
+//
+// The engine fires events in (at, seq) order, seq numbering every
+// scheduling call, so events at equal times fire in the order they were
+// scheduled. Its queue has two lanes. Schedule queues every move before
+// Run in time order, so each joins an append-only scheduled lane in O(1).
+// An event earlier than that lane's last one goes to a binary heap of
+// event values instead, so the heap holds only the hops in flight and the
+// randomly timed queries. Run fires the earlier of the two heads. Each
+// lane is ordered by (at, seq) and no two events share it, so the merge
+// fires every event exactly where one priority queue would. An operation
+// has at most one message pending, so the drivers' operations are their
+// own events: a flight names its pending leg and is scheduled as a
+// pointer, and a hop allocates nothing.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 
 	"repro/internal/graph"
 	"repro/internal/obs"
 )
 
-// event is a scheduled continuation.
+// action is what an event does when it fires: a driver's flight, or a
+// func that At or After wrapped in call.
+type action interface{ Fire() }
+
+// call adapts a func to action. A func value is one pointer, so storing
+// it in the interface does not allocate.
+type call func()
+
+func (c call) Fire() { c() }
+
+// event is a scheduled action. (at, seq) is unique, seq breaking ties
+// between equal times first-scheduled-first.
 type event struct {
 	at  float64
-	seq int64 // FIFO tie-break for equal times
-	fn  func()
+	seq int64
+	act action
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+func (a *event) before(b *event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-// Engine is a deterministic discrete-event executor.
+// Engine is a deterministic discrete-event executor over the two-lane
+// queue the package doc describes.
 type Engine struct {
 	now    float64
 	seq    int64
-	events eventHeap
+	lane   []event // the scheduled lane, fired from lane[head] on
+	head   int
+	heap   []event // a binary min-heap of the other events
 	steps  int64
 	limit  int64
 	faults FaultInjector
@@ -81,20 +92,80 @@ func NewEngine(limit int64) *Engine {
 func (e *Engine) Now() float64 { return e.now }
 
 // At schedules fn at absolute time t (clamped to now for past times).
-func (e *Engine) At(t float64, fn func()) {
+func (e *Engine) At(t float64, fn func()) { e.schedule(t, call(fn)) }
+
+// After schedules fn delay time units from now (a negative delay means
+// now).
+func (e *Engine) After(delay float64, fn func()) { e.schedule(e.now+delay, call(fn)) }
+
+// schedule queues a at absolute time t (clamped to now for past times).
+func (e *Engine) schedule(t float64, a action) {
 	if t < e.now {
 		t = e.now
 	}
 	e.seq++
-	heap.Push(&e.events, &event{at: t, seq: e.seq, fn: fn})
+	ev := event{at: t, seq: e.seq, act: a}
+	if n := len(e.lane); n == 0 || t >= e.lane[n-1].at {
+		e.lane = append(e.lane, ev)
+		return
+	}
+	e.push(ev)
 }
 
-// After schedules fn delay time units from now.
-func (e *Engine) After(delay float64, fn func()) {
-	if delay < 0 {
-		delay = 0
+// push adds ev to the heap and sifts it up.
+func (e *Engine) push(ev event) {
+	h := append(e.heap, ev)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h[i].before(&h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
 	}
-	e.At(e.now+delay, fn)
+	e.heap = h
+}
+
+// pop removes the heap's earliest event, clearing the vacated slot so its
+// action can be collected.
+func (e *Engine) pop() event {
+	h := e.heap
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = event{}
+	h = h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	e.heap = h
+	return top
+}
+
+// next removes the earliest event of the two lanes, which must not both
+// be empty.
+func (e *Engine) next() event {
+	if e.head < len(e.lane) && (len(e.heap) == 0 || e.lane[e.head].before(&e.heap[0])) {
+		ev := e.lane[e.head]
+		e.lane[e.head] = event{}
+		if e.head++; e.head == len(e.lane) {
+			e.lane, e.head = e.lane[:0], 0
+		}
+		return ev
+	}
+	return e.pop()
 }
 
 // SetObs installs a recorder for the engine's queue-depth and step-count
@@ -104,17 +175,17 @@ func (e *Engine) SetObs(r *obs.Recorder) { e.obs = r }
 // Run processes events until the queue drains. It returns an error if the
 // step limit is exceeded (which indicates a protocol livelock).
 func (e *Engine) Run() error {
-	for e.events.Len() > 0 {
+	for e.Pending() > 0 {
 		if e.obs != nil {
-			e.obs.GaugeMax("engine.queue", float64(e.events.Len()))
+			e.obs.GaugeMax("engine.queue", float64(e.Pending()))
 		}
-		ev := heap.Pop(&e.events).(*event)
+		ev := e.next()
 		e.now = ev.at
 		e.steps++
 		if e.steps > e.limit {
 			return fmt.Errorf("sim: step limit %d exceeded at t=%v (livelock?)", e.limit, e.now)
 		}
-		ev.fn()
+		ev.act.Fire()
 	}
 	if e.obs != nil {
 		e.obs.GaugeMax("engine.steps", float64(e.steps))
@@ -122,8 +193,8 @@ func (e *Engine) Run() error {
 	return nil
 }
 
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return e.events.Len() }
+// Pending returns the number of queued events in both lanes.
+func (e *Engine) Pending() int { return len(e.lane) - e.head + len(e.heap) }
 
 // Steps returns the number of events processed so far.
 func (e *Engine) Steps() int64 { return e.steps }
@@ -143,6 +214,18 @@ type FaultInjector interface {
 	Fail(op uint64, hop, attempts int, dest graph.NodeID, now float64) error
 }
 
+// Message is a message in flight through the fault layer.
+type Message interface {
+	// Attempt is called once per transmission attempt n (from 1), before
+	// its fate is decided: the place to account retransmission cost.
+	Attempt(n int)
+	// Fire runs at the destination when an attempt gets through.
+	Fire()
+	// Fail runs when MaxAttempts attempts all dropped, with the injector's
+	// typed error.
+	Fail(err error)
+}
+
 // Delivery is one message send through the fault layer.
 type Delivery struct {
 	// Op and Hop identify the message within its operation (the logical
@@ -153,51 +236,37 @@ type Delivery struct {
 	// travel time).
 	Dest graph.NodeID
 	Dist float64
-	// OnAttempt is invoked once per transmission attempt, before its fate
-	// is decided — the place to account retransmission cost.
-	OnAttempt func(attempt int)
-	// Fn runs at the destination when an attempt gets through.
-	Fn func()
-	// OnFail runs when MaxAttempts attempts all dropped. Nil panics the
-	// simulation (callers must handle failure when faults are installed).
-	OnFail func(err error)
+	// Msg is charged for each attempt, then fired at Dest or failed.
+	Msg Message
 }
 
 // SetFaults installs a fault injector; nil restores fault-free delivery.
 func (e *Engine) SetFaults(f FaultInjector) { e.faults = f }
 
 // Deliver sends one message. Without an injector this is exactly
-// After(d.Dist, d.Fn) plus the OnAttempt(1) accounting callback, so
-// fault-free runs are byte-identical to the pre-chaos engine. With an
-// injector, dropped attempts are retried after the attempt's timeout
-// (Dist) plus exponential backoff, and exhausting the budget invokes
-// OnFail with the injector's typed error.
+// Msg.Attempt(1) then Msg.Fire after Dist, so fault-free runs are
+// byte-identical to the pre-chaos engine. With an injector, dropped
+// attempts are retried after the attempt's timeout (Dist) plus exponential
+// backoff, and exhausting the budget calls Msg.Fail with the injector's
+// typed error.
 func (e *Engine) Deliver(d Delivery) {
 	if e.faults == nil {
-		if d.OnAttempt != nil {
-			d.OnAttempt(1)
-		}
-		e.After(d.Dist, d.Fn)
+		d.Msg.Attempt(1)
+		e.schedule(e.now+d.Dist, d.Msg)
 		return
 	}
 	e.deliverAttempt(d, 1)
 }
 
 func (e *Engine) deliverAttempt(d Delivery, attempt int) {
-	if d.OnAttempt != nil {
-		d.OnAttempt(attempt)
-	}
+	d.Msg.Attempt(attempt)
 	drop, extra := e.faults.Attempt(d.Op, d.Hop, attempt, d.Dest, d.Dist, e.now)
 	if !drop {
-		e.After(d.Dist+extra, d.Fn)
+		e.schedule(e.now+(d.Dist+extra), d.Msg)
 		return
 	}
 	if attempt >= e.faults.MaxAttempts() {
-		err := e.faults.Fail(d.Op, d.Hop, attempt, d.Dest, e.now)
-		if d.OnFail == nil {
-			panic(fmt.Sprintf("sim: unhandled delivery failure: %v", err))
-		}
-		d.OnFail(err)
+		d.Msg.Fail(e.faults.Fail(d.Op, d.Hop, attempt, d.Dest, e.now))
 		return
 	}
 	// The sender learns of the loss after the attempt's timeout (one

@@ -75,7 +75,7 @@ type MOTSim struct {
 
 	// waiters[slot][o] = queries parked at a stale bottom-level proxy,
 	// resumed by the delete message carrying the new proxy.
-	waiters map[overlay.Station]map[core.ObjectID][]func(newProxy graph.NodeID)
+	waiters map[overlay.Station]map[core.ObjectID][]*flight
 
 	results []QueryResult
 	errs    []error
@@ -114,7 +114,7 @@ func NewMOT(ov overlay.Overlay, eng *Engine, cfg Config) (*MOTSim, error) {
 		fwd:     make(map[core.ObjectID]map[overlay.Station]graph.NodeID),
 		queue:   make(map[core.ObjectID][]*flight),
 		active:  make(map[core.ObjectID]bool),
-		waiters: make(map[overlay.Station]map[core.ObjectID][]func(graph.NodeID)),
+		waiters: make(map[overlay.Station]map[core.ObjectID][]*flight),
 		obs:     cfg.Obs,
 	}, nil
 }
@@ -146,6 +146,9 @@ func (s *MOTSim) fail(format string, args ...interface{}) {
 // Publish stamps o's initial trail instantly (publish is the one-time
 // initialization, performed before the tracked execution starts).
 func (s *MOTSim) Publish(o core.ObjectID, at graph.NodeID) error {
+	if err := s.h.CheckSensor(at); err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
 	if _, ok := s.loc[o]; ok {
 		return fmt.Errorf("sim: object %d already published", o)
 	}
@@ -186,8 +189,11 @@ func (s *MOTSim) step(m *core.Msg) core.Verdict {
 
 // --- maintenance -----------------------------------------------------
 
-// flight is one operation in flight.
+// flight is one operation in flight. An operation has at most one
+// message pending, and a parked query none, so the flight itself is the
+// engine event of its pending leg.
 type flight struct {
+	s        *MOTSim
 	id       uint64
 	hop      int
 	msg      core.Msg
@@ -195,32 +201,73 @@ type flight struct {
 	origin   graph.NodeID // queries only, like restarts and waited
 	restarts int
 	waited   bool
+
+	// The pending leg, and the destination and travel distance of its
+	// message (a gate wait keeps the last hop's).
+	leg  leg
+	dest graph.NodeID
+	dist float64
 }
 
-// send routes one message of op to dest through the fault layer; each
-// transmission attempt (including retries) costs one travel.
-func (s *MOTSim) send(op *flight, dest graph.NodeID, fn func()) {
+// leg names what a flight does when its pending event fires.
+type leg uint8
+
+const (
+	gateLeg   leg = iota // the Φ(i) wait is over: send the climb on
+	climbLeg             // a move reaches the next level's station
+	deleteLeg            // a delete reaches the next station of the old trail
+	queryLeg             // a query reaches the next station the handler named
+	chaseLeg             // a resumed query reaches the proxy it chases
+)
+
+// Fire runs op's pending leg.
+func (op *flight) Fire() {
+	s, m := op.s, &op.msg
+	switch op.leg {
+	case gateLeg:
+		s.send(op, m.Next.Host, climbLeg)
+	case climbLeg:
+		s.arrive(m)
+		s.climbed(op, s.step(m))
+	case deleteLeg:
+		s.arrive(m)
+		s.erased(op, s.step(m))
+	case queryLeg:
+		s.arrive(m)
+		m.Truth = s.loc[m.Obj]
+		s.probed(op, s.step(m))
+	case chaseLeg:
+		s.chased(op)
+	}
+}
+
+// Attempt charges one transmission attempt of op's message: each attempt,
+// retries included, costs one travel.
+func (op *flight) Attempt(n int) {
 	m := &op.msg
-	d := s.m.Dist(m.At.Host, dest)
+	m.Cost += op.dist
+	op.s.obs.Attempt(m.Span, int(op.dest), op.dist, n, op.s.eng.Now())
+}
+
+// Fail abandons op after its message exhausted its delivery budget.
+func (op *flight) Fail(err error) {
+	s, m := op.s, &op.msg
+	if m.Kind == core.MoveMsg {
+		s.abortMove(op, err)
+		return
+	}
+	s.lost = append(s.lost, fmt.Errorf("sim: query for %d from %d lost: %w", m.Obj, op.origin, err))
+	s.h.Meter.RecoveryCost += m.Cost
+	m.Span.Event(obs.EvAbort, -1, int(op.dest), 0, s.eng.Now())
+	m.Span.End(s.eng.Now())
+}
+
+// send routes op's message to dest through the fault layer, to run leg
+// there.
+func (s *MOTSim) send(op *flight, dest graph.NodeID, leg leg) {
+	op.leg, op.dest, op.dist = leg, dest, s.m.Dist(op.msg.At.Host, dest)
 	op.hop++
-	s.eng.Deliver(Delivery{
-		Op:        op.id,
-		Hop:       op.hop,
-		Dest:      dest,
-		Dist:      d,
-		OnAttempt: func(att int) { m.Cost += d; s.obs.Attempt(m.Span, int(dest), d, att, s.eng.Now()) },
-		Fn:        fn,
-		OnFail: func(err error) {
-			if m.Kind == core.MoveMsg {
-				s.abortMove(op, err)
-				return
-			}
-			s.lost = append(s.lost, fmt.Errorf("sim: query for %d from %d lost: %w", m.Obj, op.origin, err))
-			s.h.Meter.RecoveryCost += m.Cost
-			m.Span.Event(obs.EvAbort, -1, int(dest), 0, s.eng.Now())
-			m.Span.End(s.eng.Now())
-		},
-	})
+	s.eng.Deliver(Delivery{Op: op.id, Hop: op.hop, Dest: dest, Dist: op.dist, Msg: op})
 }
 
 // IssueMove schedules a maintenance operation at time at. The object's
@@ -228,6 +275,9 @@ func (s *MOTSim) send(op *flight, dest graph.NodeID, fn func()) {
 // directory update is queued behind any still-running maintenance operation
 // of the same object and otherwise starts immediately.
 func (s *MOTSim) IssueMove(o core.ObjectID, to graph.NodeID, at float64) error {
+	if err := s.h.CheckSensor(to); err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
 	if _, ok := s.loc[o]; !ok {
 		return fmt.Errorf("sim: object %d not published", o)
 	}
@@ -239,7 +289,7 @@ func (s *MOTSim) IssueMove(o core.ObjectID, to graph.NodeID, at float64) error {
 		s.loc[o] = to
 		s.nextOp++
 		// The operation number is also the stamped version.
-		op := &flight{id: s.nextOp, msg: s.h.NewMsg(core.MoveMsg, o, s.nextOp, to), optimal: s.m.Dist(from, to)}
+		op := &flight{s: s, id: s.nextOp, msg: s.h.NewMsg(core.MoveMsg, o, s.nextOp, to), optimal: s.m.Dist(from, to)}
 		op.msg.Span = s.obs.StartSpan(obs.OpMove, op.id, int(o), s.eng.Now())
 		s.queue[o] = append(s.queue[o], op)
 		s.pump(o)
@@ -281,44 +331,41 @@ func (s *MOTSim) climbed(op *flight, v core.Verdict) {
 // enterLevel applies the period gate, then travels to the next level.
 func (s *MOTSim) enterLevel(op *flight) {
 	m := &op.msg
-	proceed := func() {
-		s.send(op, m.Next.Host, func() {
-			s.arrive(m)
-			s.climbed(op, s.step(m))
-		})
-	}
 	if s.cfg.PeriodSync {
 		k := m.Next.Level
 		phi := math.Pow(2, float64(k)) * phiBase
 		boundary := math.Ceil(s.eng.Now()/phi) * phi
 		if boundary > s.eng.Now() {
 			m.Span.Event(obs.EvWait, k, int(m.At.Host), boundary-s.eng.Now(), s.eng.Now())
-			s.eng.At(boundary, proceed)
+			op.leg = gateLeg
+			s.eng.schedule(boundary, op)
 			return
 		}
 	}
-	proceed()
+	s.send(op, m.Next.Host, climbLeg)
 }
 
 // deleteStep travels to the next station of the old trail and erases it.
 func (s *MOTSim) deleteStep(op *flight) {
+	s.send(op, op.msg.Next.Host, deleteLeg)
+}
+
+// erased reacts to the handler at the station a delete reached.
+func (s *MOTSim) erased(op *flight, v core.Verdict) {
 	m := &op.msg
-	s.send(op, m.Next.Host, func() {
-		s.arrive(m)
-		switch s.step(m) {
-		case core.Forward:
-			s.tombstone(m)
-			s.deleteStep(op)
-		case core.Done:
-			s.tombstone(m)
-			s.resolveWaiters(m.At, m.Obj, m.Owner)
-			s.finishMove(op)
-		default:
-			// The entry was already replaced by a newer move; the newer
-			// chain owns everything below.
-			s.finishMove(op)
-		}
-	})
+	switch v {
+	case core.Forward:
+		s.tombstone(m)
+		s.deleteStep(op)
+	case core.Done:
+		s.tombstone(m)
+		s.resolveWaiters(m.At, m.Obj, m.Owner)
+		s.finishMove(op)
+	default:
+		// The entry was already replaced by a newer move; the newer
+		// chain owns everything below.
+		s.finishMove(op)
+	}
 }
 
 // tombstone leaves the mover's destination where the delete just erased.
@@ -390,10 +437,10 @@ func (s *MOTSim) repair(span obs.Span, o core.ObjectID, ver uint64) {
 
 func (s *MOTSim) resolveWaiters(st overlay.Station, o core.ObjectID, newProxy graph.NodeID) {
 	if byObj, ok := s.waiters[st]; ok {
-		ws := byObj[o]
+		qs := byObj[o]
 		delete(byObj, o)
-		for _, w := range ws {
-			w(newProxy)
+		for _, q := range qs {
+			s.chase(q, newProxy)
 		}
 	}
 }
@@ -402,12 +449,15 @@ func (s *MOTSim) resolveWaiters(st overlay.Station, o core.ObjectID, newProxy gr
 
 // IssueQuery schedules a query from origin for o at time at.
 func (s *MOTSim) IssueQuery(origin graph.NodeID, o core.ObjectID, at float64) error {
+	if err := s.h.CheckSensor(origin); err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
 	if _, ok := s.loc[o]; !ok {
 		return fmt.Errorf("sim: object %d not published", o)
 	}
 	s.eng.At(at, func() {
 		s.nextOp++
-		q := &flight{id: s.nextOp, msg: s.h.NewMsg(core.QueryMsg, o, 0, origin), origin: origin, optimal: s.m.Dist(origin, s.loc[o])}
+		q := &flight{s: s, id: s.nextOp, msg: s.h.NewMsg(core.QueryMsg, o, 0, origin), origin: origin, optimal: s.m.Dist(origin, s.loc[o])}
 		q.msg.Span = s.obs.StartSpan(obs.OpQuery, q.id, int(o), s.eng.Now())
 		s.forward(q)
 	})
@@ -417,25 +467,26 @@ func (s *MOTSim) IssueQuery(origin graph.NodeID, o core.ObjectID, at float64) er
 // forward carries the query to the next station the handler named (up
 // the path, across an SDL shortcut, or down the trail) and applies it.
 func (s *MOTSim) forward(q *flight) {
+	s.send(q, q.msg.Next.Host, queryLeg)
+}
+
+// probed reacts to the handler at the station a query reached.
+func (s *MOTSim) probed(q *flight, v core.Verdict) {
 	m := &q.msg
-	s.send(q, m.Next.Host, func() {
-		s.arrive(m)
-		m.Truth = s.loc[m.Obj]
-		switch s.step(m) {
-		case core.Forward:
-			s.forward(q)
-		case core.Done:
-			s.complete(q)
-		case core.StaleProxy:
-			s.park(q)
-		case core.TrailLost:
-			if m.Climbing() {
-				s.fail("sim: query for %d from %d passed the root", m.Obj, q.origin)
-				return
-			}
-			s.restart(q)
+	switch v {
+	case core.Forward:
+		s.forward(q)
+	case core.Done:
+		s.complete(q)
+	case core.StaleProxy:
+		s.park(q)
+	case core.TrailLost:
+		if m.Climbing() {
+			s.fail("sim: query for %d from %d passed the root", m.Obj, q.origin)
+			return
 		}
-	})
+		s.restart(q)
+	}
 }
 
 // park holds a query at a stale proxy: the object moved and the delete has
@@ -445,11 +496,9 @@ func (s *MOTSim) park(q *flight) {
 	q.waited = true
 	m.Span.Event(obs.EvWait, 0, int(m.At.Host), 0, s.eng.Now())
 	if s.waiters[m.At] == nil {
-		s.waiters[m.At] = make(map[core.ObjectID][]func(graph.NodeID))
+		s.waiters[m.At] = make(map[core.ObjectID][]*flight)
 	}
-	s.waiters[m.At][m.Obj] = append(s.waiters[m.At][m.Obj], func(newProxy graph.NodeID) {
-		s.chase(q, newProxy)
-	})
+	s.waiters[m.At][m.Obj] = append(s.waiters[m.At][m.Obj], q)
 }
 
 // chase forwards a resumed query to the proxy named by a delete message or
@@ -457,16 +506,19 @@ func (s *MOTSim) park(q *flight) {
 // query re-anchors at this proxy's bottom-level slot — whose own tombstone
 // (if the next delete already passed) chains the chase forward.
 func (s *MOTSim) chase(q *flight, proxy graph.NodeID) {
-	m := &q.msg
-	s.send(q, proxy, func() {
-		m.At = overlay.Station{Level: 0, Key: int64(proxy), Host: proxy}
-		s.obs.Arrive(m.Span, 0, int(proxy), s.eng.Now())
-		if s.loc[m.Obj] == proxy {
-			s.complete(q)
-			return
-		}
-		s.restart(q)
-	})
+	s.send(q, proxy, chaseLeg)
+}
+
+// chased lands a chase at the proxy it was sent to.
+func (s *MOTSim) chased(q *flight) {
+	m, proxy := &q.msg, q.dest
+	m.At = overlay.Station{Level: 0, Key: int64(proxy), Host: proxy}
+	s.obs.Arrive(m.Span, 0, int(proxy), s.eng.Now())
+	if s.loc[m.Obj] == proxy {
+		s.complete(q)
+		return
+	}
+	s.restart(q)
 }
 
 // restart re-climbs from where the query stands after a lost trail, or —

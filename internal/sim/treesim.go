@@ -38,13 +38,37 @@ type parked struct {
 	o    core.ObjectID
 }
 
-// treeFlight is one tree operation in flight.
+// treeFlight is one tree operation in flight, and the engine event of its
+// next hop or its chase: it has at most one pending.
 type treeFlight struct {
+	s        *TreeSim
 	msg      treedir.Msg
 	optimal  float64
 	origin   graph.NodeID // queries only, like restarts and waited
 	restarts int
 	waited   bool
+	chasing  bool         // the pending event is a chase to proxy
+	proxy    graph.NodeID // the proxy a resumed query chases
+}
+
+// Fire lands op's pending hop or chase.
+func (op *treeFlight) Fire() {
+	s, m := op.s, &op.msg
+	if op.chasing {
+		op.chasing = false
+		m.At = s.t.Leaf(op.proxy)
+		if s.loc[m.Obj] == op.proxy {
+			s.complete(op)
+			return
+		}
+		s.restart(op)
+		return
+	}
+	m.At = m.Next
+	if m.Kind == core.QueryMsg {
+		m.Truth = s.loc[m.Obj]
+	}
+	s.react(op, s.h.Step(m))
 }
 
 // NewTree builds a concurrent simulator over a finalized baseline tree. tc
@@ -112,7 +136,7 @@ func (s *TreeSim) IssueMove(o core.ObjectID, to graph.NodeID, at float64) error 
 		}
 		s.loc[o] = to
 		m, _ := s.h.NewMsg(core.MoveMsg, o, to) // to's leaf is checked above
-		s.queue[o] = append(s.queue[o], &treeFlight{msg: m, optimal: s.m.Dist(from, to)})
+		s.queue[o] = append(s.queue[o], &treeFlight{s: s, msg: m, optimal: s.m.Dist(from, to)})
 		s.pump(o)
 	})
 	return nil
@@ -140,7 +164,7 @@ func (s *TreeSim) IssueQuery(origin graph.NodeID, o core.ObjectID, at float64) e
 	}
 	s.eng.At(at, func() {
 		m, _ := s.h.NewMsg(core.QueryMsg, o, origin) // origin's leaf is checked above
-		s.send(&treeFlight{msg: m, origin: origin, optimal: s.m.Dist(origin, s.loc[o])})
+		s.send(&treeFlight{s: s, msg: m, origin: origin, optimal: s.m.Dist(origin, s.loc[o])})
 	})
 	return nil
 }
@@ -152,13 +176,7 @@ func (s *TreeSim) send(op *treeFlight) {
 	m := &op.msg
 	d := s.m.Dist(s.t.Host(m.At), s.t.Host(m.Next))
 	m.Cost += d
-	s.eng.After(d, func() {
-		m.At = m.Next
-		if m.Kind == core.QueryMsg {
-			m.Truth = s.loc[m.Obj]
-		}
-		s.react(op, s.h.Step(m))
-	})
+	s.eng.schedule(s.eng.Now()+d, op)
 }
 
 // react answers the handler's verdict at the node op's message reached.
@@ -217,14 +235,8 @@ func (s *TreeSim) chase(q *treeFlight, proxy graph.NodeID) {
 	m := &q.msg
 	d := s.m.Dist(s.t.Host(m.At), proxy)
 	m.Cost += d
-	s.eng.After(d, func() {
-		m.At = s.t.Leaf(proxy)
-		if s.loc[m.Obj] == proxy {
-			s.complete(q)
-			return
-		}
-		s.restart(q)
-	})
+	q.chasing, q.proxy = true, proxy
+	s.eng.schedule(s.eng.Now()+d, q)
 }
 
 // restart issues the query afresh from the sensor where it lost the

@@ -158,9 +158,6 @@ func (t *Tracker) Metric() *Metric { return t.m }
 // Publish introduces object o at sensor node at; each object is published
 // exactly once, before any Move or Query for it.
 func (t *Tracker) Publish(o ObjectID, at NodeID) error {
-	if err := checkSensor(t.g, at); err != nil {
-		return err
-	}
 	return t.dir.Publish(o, at)
 }
 
@@ -168,18 +165,12 @@ func (t *Tracker) Publish(o ObjectID, at NodeID) error {
 // detection trails (a maintenance operation). Moving to the current proxy
 // is a free no-op.
 func (t *Tracker) Move(o ObjectID, to NodeID) error {
-	if err := checkSensor(t.g, to); err != nil {
-		return err
-	}
 	return t.dir.Move(o, to)
 }
 
 // Query locates object o from sensor node from; it returns the proxy node
 // currently detecting o and the communication cost of the search.
 func (t *Tracker) Query(from NodeID, o ObjectID) (NodeID, float64, error) {
-	if err := checkSensor(t.g, from); err != nil {
-		return Undefined, 0, err
-	}
 	return t.dir.Query(from, o)
 }
 

@@ -17,14 +17,6 @@ func buildSimpleOverlay(g *Graph, m *Metric, seed int64, sigma int) (overlay.Ove
 	return hs, nil
 }
 
-// checkSensor reports a sensor outside g, naming it and the range.
-func checkSensor(g *Graph, n NodeID) error {
-	if n < 0 || int(n) >= g.N() {
-		return fmt.Errorf("mot: sensor %d out of range [0,%d)", n, g.N())
-	}
-	return nil
-}
-
 func errUnknownFigure(id int) error {
 	return fmt.Errorf("mot: unknown figure %d (the paper's evaluation figures are 4..15)", id)
 }
