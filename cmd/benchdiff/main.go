@@ -55,6 +55,9 @@ func main() {
 	if err := diff.WriteMarkdown(os.Stdout, rep); err != nil {
 		fatal(err)
 	}
+	for _, u := range rep.Ungated {
+		fmt.Fprintln(os.Stderr, "benchdiff:", u)
+	}
 	if !rep.OK() {
 		fmt.Fprintf(os.Stderr, "benchdiff: gate FAILED (%d regression(s) vs %s)\n", len(rep.Failures), *baseline)
 		os.Exit(1)

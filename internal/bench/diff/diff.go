@@ -5,7 +5,8 @@
 // grows more than the ns/op tolerance (default 15%, absorbing 1-CPU
 // runner noise) or allocates more per op at all (allocations are
 // deterministic, so the tolerance there is zero). Unpinned rows are
-// reported in the delta table for the trajectory but never gate.
+// reported in the delta table for the trajectory but never gate, and so
+// are pinned rows the baseline lacks, which the report lists by name.
 package diff
 
 import (
@@ -44,6 +45,9 @@ type Report struct {
 	Schema   string
 	Rows     []Row
 	Failures []string
+	// Ungated names each pinned row absent from the baseline: nothing
+	// gates it until the baseline is re-taken.
+	Ungated []string
 }
 
 // OK reports whether the gate passes.
@@ -99,7 +103,10 @@ func Diff(base, cur *bench.Report, opts Options) *Report {
 			}
 		case !inBase:
 			// New benchmark: nothing to regress against; next baseline
-			// refresh adopts it.
+			// refresh adopts it. A pinned one is named, so the gap shows.
+			if c.Pinned {
+				rep.Ungated = append(rep.Ungated, name+": pinned, not gated: absent from the baseline")
+			}
 		default:
 			if row.BaseNs > 0 {
 				row.NsDelta = row.CurNs/row.BaseNs - 1
@@ -158,6 +165,16 @@ func WriteMarkdown(w io.Writer, rep *Report) error {
 				return err
 			}
 		}
+		if _, err := fmt.Fprintln(w); err != nil {
+			return err
+		}
+	}
+	for _, u := range rep.Ungated {
+		if _, err := fmt.Fprintf(w, "- %s\n", u); err != nil {
+			return err
+		}
+	}
+	if len(rep.Ungated) > 0 {
 		if _, err := fmt.Fprintln(w); err != nil {
 			return err
 		}

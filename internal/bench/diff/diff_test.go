@@ -73,7 +73,7 @@ func TestDiffFailsOnMissingPinned(t *testing.T) {
 }
 
 // Unpinned rows inform the trajectory; they never gate, however badly
-// they move. New benchmarks have no baseline and are adopted silently.
+// they move. New benchmarks have no baseline and never gate either.
 func TestDiffToleratesUnpinnedAndNew(t *testing.T) {
 	rep := Diff(
 		report(free("sweep/256-cache-on", 1000, 50)),
@@ -170,5 +170,41 @@ func TestWriteMarkdownCleanPass(t *testing.T) {
 	}
 	if !strings.Contains(md.String(), "Gate: **pass**") {
 		t.Fatalf("clean diff not marked pass:\n%s", md.String())
+	}
+}
+
+// A pinned row the baseline lacks is not gated; the report names it
+// under the verdict, pass or fail, and leaves the verdict alone.
+func TestDiffListsPinnedRowsAbsentFromBaseline(t *testing.T) {
+	const note = "graph/pair-dist-10000: pinned, not gated: absent from the baseline"
+	for _, tc := range []struct {
+		curNs   float64
+		verdict string
+	}{
+		{100, "Gate: **pass**"},
+		{200, "Gate: **FAIL**"},
+	} {
+		rep := Diff(
+			report(pinned("oracle/dist-1024", 100, 0)),
+			report(pinned("oracle/dist-1024", tc.curNs, 0), pinned("graph/pair-dist-10000", 5000, 0), free("sim/concurrent-256", 1, 1)),
+			Options{})
+		if rep.OK() != (tc.curNs == 100) {
+			t.Fatalf("cur %v ns/op: OK = %t, failures %v", tc.curNs, rep.OK(), rep.Failures)
+		}
+		if len(rep.Ungated) != 1 || rep.Ungated[0] != note {
+			t.Fatalf("ungated = %q, want [%q]", rep.Ungated, note)
+		}
+		var md strings.Builder
+		if err := WriteMarkdown(&md, rep); err != nil {
+			t.Fatal(err)
+		}
+		out := md.String()
+		v, n := strings.Index(out, tc.verdict), strings.Index(out, "- "+note)
+		if v < 0 || n < v || n > strings.Index(out, "| benchmark |") {
+			t.Fatalf("want %q, then the note, then the table:\n%s", tc.verdict, out)
+		}
+		if strings.Contains(out, "sim/concurrent-256: pinned") {
+			t.Fatalf("unpinned new row listed as pinned:\n%s", out)
+		}
 	}
 }

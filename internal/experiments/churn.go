@@ -322,8 +322,7 @@ func runChurnSchedule(cfg ChurnConfig, idx int) (ChurnSchedule, error) {
 			var op churnOp
 			if rng.Intn(2) == 0 { // move
 				o := rng.Intn(len(locs))
-				nbrs := g.NeighborIDs(locs[o])
-				op = churnOp{kind: 'm', obj: core.ObjectID(o), node: nbrs[rng.Intn(len(nbrs))]}
+				op = churnOp{kind: 'm', obj: core.ObjectID(o), node: g.NeighborAt(locs[o], rng.Intn(g.Degree(locs[o])))}
 			} else { // query
 				op = churnOp{kind: 'q', obj: core.ObjectID(rng.Intn(len(locs))), node: graph.NodeID(rng.Intn(g.N()))}
 			}

@@ -42,6 +42,10 @@ type Graph struct {
 	pos []Point      // optional geometric embedding (len 0 or n)
 
 	nEdges int
+	// nonUnit is set while some edge weight is not exactly 1. AddEdge,
+	// Normalize and Clone keep it current, so a search reads in O(1)
+	// whether it may run breadth-first (see distancesInto).
+	nonUnit bool
 }
 
 type halfEdge struct {
@@ -82,6 +86,7 @@ func (g *Graph) AddEdge(u, v NodeID, w float64) error {
 	g.adj[u] = append(g.adj[u], halfEdge{to: v, w: w})
 	g.adj[v] = append(g.adj[v], halfEdge{to: u, w: w})
 	g.nEdges++
+	g.nonUnit = g.nonUnit || w != 1
 	return nil
 }
 
@@ -145,6 +150,11 @@ func (g *Graph) Neighbors(u NodeID, fn func(v NodeID, w float64) bool) {
 	}
 }
 
+// NeighborAt returns u's i-th neighbor, 0 ≤ i < Degree(u), in the order
+// Neighbors visits them. It allocates nothing, so a random walk can draw
+// its next step without building a list.
+func (g *Graph) NeighborAt(u NodeID, i int) NodeID { return g.adj[u][i].to }
+
 // NeighborIDs returns a fresh slice of u's neighbors.
 func (g *Graph) NeighborIDs(u NodeID) []NodeID {
 	if !g.valid(u) {
@@ -207,9 +217,11 @@ func (g *Graph) Normalize() float64 {
 		return 1
 	}
 	scale := 1 / minW
+	g.nonUnit = false
 	for u := 0; u < g.n; u++ {
 		for i := range g.adj[u] {
 			g.adj[u][i].w *= scale
+			g.nonUnit = g.nonUnit || g.adj[u][i].w != 1
 		}
 	}
 	for i := range g.pos {
@@ -275,7 +287,7 @@ func (g *Graph) Connected() bool {
 
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{n: g.n, adj: make([][]halfEdge, g.n), nEdges: g.nEdges}
+	c := &Graph{n: g.n, adj: make([][]halfEdge, g.n), nEdges: g.nEdges, nonUnit: g.nonUnit}
 	for u := range g.adj {
 		c.adj[u] = append([]halfEdge(nil), g.adj[u]...)
 	}

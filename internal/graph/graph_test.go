@@ -246,22 +246,44 @@ func TestIntegerWeights(t *testing.T) {
 	at.MustAddEdge(1, 2, 1<<52)
 	half := New(2)
 	half.MustAddEdge(0, 1, 2.5)
+	heavy := Grid(3, 3)
+	heavy.MustAddEdge(0, 8, 2)
+	cycle := Path(4)
+	cycle.MustAddEdge(0, 3, 1)
+	cycle.Normalize() // already unit: a no-op
+	scaled := New(3)
+	scaled.MustAddEdge(0, 1, 4)
+	scaled.MustAddEdge(1, 2, 4)
+	scaled.Normalize() // every weight becomes 1
+	mixed := New(3)
+	mixed.MustAddEdge(0, 1, 2)
+	mixed.MustAddEdge(1, 2, 3)
+	mixed.Normalize() // 1 and 1.5
 	for _, tc := range []struct {
-		name string
-		g    *Graph
-		want bool
+		name          string
+		g             *Graph
+		integer, unit bool
 	}{
-		{"empty", New(0), true},
-		{"grid", Grid(5, 4), true},
-		{"ring", Ring(12), true},
-		{"weighted ring", WeightedRing(10, 100), true},
-		{"rgg", RandomGeometric(60, 10, 2.0, rand.New(rand.NewSource(42))), false},
-		{"half weight", half, false},
-		{"sum below 2^53", below, true},
-		{"sum at 2^53", at, false},
+		{"empty", New(0), true, true},
+		{"grid", Grid(5, 4), true, true},
+		{"ring", Ring(12), true, true},
+		{"weighted ring", WeightedRing(10, 100), true, false},
+		{"rgg", RandomGeometric(60, 10, 2.0, rand.New(rand.NewSource(42))), false, false},
+		{"half weight", half, false, false},
+		{"sum below 2^53", below, true, false},
+		{"sum at 2^53", at, false, false},
+		{"grid plus a weight-2 edge", heavy, true, false},
+		{"clone of the weight-2 grid", heavy.Clone(), true, false},
+		{"clone of a grid", Grid(4, 4).Clone(), true, true},
+		{"unit cycle normalized", cycle, true, true},
+		{"4s normalized", scaled, true, true},
+		{"2 and 3 normalized", mixed, false, false},
 	} {
-		if got := tc.g.IntegerWeights(); got != tc.want {
-			t.Errorf("%s: IntegerWeights = %t, want %t", tc.name, got, tc.want)
+		if got := tc.g.IntegerWeights(); got != tc.integer {
+			t.Errorf("%s: IntegerWeights = %t, want %t", tc.name, got, tc.integer)
+		}
+		if got := !tc.g.nonUnit; got != tc.unit {
+			t.Errorf("%s: unit weights = %t, want %t", tc.name, got, tc.unit)
 		}
 	}
 }

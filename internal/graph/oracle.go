@@ -14,7 +14,7 @@ import (
 
 // DistanceOracle is the routing-grade distance interface the tracking
 // structures are built against. Two implementations exist: the exact
-// *Metric (lazy Dijkstra rows that freeze into a flat all-pairs table,
+// *Metric (lazy rows that freeze into a flat all-pairs table,
 // stretch 1) and the sub-quadratic *Oracle (landmark + ball sketches with
 // a build-time-computed stretch bound and O(n·(L+k)) memory).
 //
@@ -70,8 +70,8 @@ type Neighbor struct {
 
 // OracleConfig parameterizes the landmark/ball sketch oracle.
 type OracleConfig struct {
-	// Landmarks is the total landmark budget L (a full Dijkstra's
-	// distances kept per landmark, O(L·n) floats). <=0 derives
+	// Landmarks is the total landmark budget L (a full distance row
+	// kept per landmark, O(L·n) floats). <=0 derives
 	// 4·ceil(log2 n)+8, clamped to n. Every connected component receives
 	// at least one landmark, so same-component estimates are always
 	// finite.
@@ -117,7 +117,7 @@ func (c *OracleConfig) fill(n int) {
 // Oracle is the sub-quadratic distance oracle: per-node ball sketches
 // (exact distances to the k nearest nodes) answer near queries and
 // near-pair Dist exactly; seeded farthest-point landmarks (a full
-// Dijkstra each, stored node-major) answer far-pair Dist with the
+// distance row each, stored node-major) answer far-pair Dist with the
 // triangle upper bound min_l d(u,l)+d(l,v), and give PairSearch its A*
 // lower bound. The published stretch bound is computed at build
 // time from the cover and sketch radii (see Stretch) — no n×n table is
@@ -140,7 +140,7 @@ type Oracle struct {
 
 	stretch float64
 
-	// scratch pools the fallback Dijkstra state for Near queries beyond
+	// scratch pools the fallback search state for Near queries beyond
 	// the sketch radius: dist arrays stay all-+Inf between uses (searches
 	// restore only the entries they touched), so a pooled query pays for
 	// its output, not for an O(n) reset.
@@ -150,13 +150,16 @@ type Oracle struct {
 	diam     float64
 }
 
-// nearScratch is the reusable state of one truncated Dijkstra: dist is
+// nearScratch is the reusable state of one truncated search: dist is
 // all-+Inf between searches, and each search restores only the entries
-// it touched, so a search costs its output, not an O(n) reset.
+// it touched, so a search costs its output, not an O(n) reset. A
+// breadth-first search uses touched as its queue. settled holds a
+// sketch's node IDs while nearestInto sorts them.
 type nearScratch struct {
 	dist    []float64
 	touched []NodeID
 	h       distHeap
+	settled []NodeID
 }
 
 func newNearScratch(n int) *nearScratch {
@@ -217,7 +220,7 @@ func (o *Oracle) findComponents() {
 // pickLandmarks selects landmarks per component — a seeded first pick,
 // then deterministic farthest-point traversal (ties broken by smallest
 // node ID) — and fills the node-major landmark table from one full
-// Dijkstra per landmark.
+// distance row per landmark.
 func (o *Oracle) pickLandmarks() {
 	n := o.g.N()
 	nComp := 0
@@ -247,7 +250,7 @@ func (o *Oracle) pickLandmarks() {
 	for i := range minD {
 		minD[i] = Inf
 	}
-	// Each landmark's Dijkstra fills one row of a batch, and a full batch
+	// Each landmark's search fills one row of a batch, and a full batch
 	// goes into the table node by node, so a node's block is written a
 	// cache line at a time rather than one scattered entry per landmark.
 	const batch = 8
@@ -262,10 +265,10 @@ func (o *Oracle) pickLandmarks() {
 		}
 		flushed = len(o.landmarks)
 	}
-	h := make(distHeap, 0, 64)
+	var sc nearScratch
 	addLandmark := func(l NodeID) {
 		row := rows[(len(o.landmarks)-flushed)*n:][:n]
-		o.g.dijkstraInto(l, row, nil, &h)
+		o.g.distancesInto(l, row, &sc)
 		o.landmarks = append(o.landmarks, l)
 		if len(o.landmarks)-flushed == batch || len(o.landmarks) == L {
 			flush()
@@ -309,8 +312,12 @@ func (o *Oracle) buildSketches() {
 		w := w
 		pool.Go(func() {
 			sc := newNearScratch(n)
+			// A search settles k nodes and touches their frontier too;
+			// sizing both lists once spares their step-by-step growth.
+			sc.settled = make([]NodeID, 0, o.cfg.BallK)
+			sc.touched = make([]NodeID, 0, 2*o.cfg.BallK)
 			for u := w; u < n; u += workers {
-				sk, r := o.g.nearestInto(NodeID(u), o.cfg.BallK, sc.dist, &sc.touched, &sc.h)
+				sk, r := o.g.nearestInto(NodeID(u), o.cfg.BallK, sc)
 				o.sketch[u] = sk
 				o.rsketch[u] = r
 			}
@@ -323,57 +330,82 @@ func (o *Oracle) buildSketches() {
 // them sorted by ascending node ID, plus the guaranteed-exact radius:
 // +Inf when the frontier exhausted (the sketch holds src's entire
 // component), otherwise the last settled distance r, guaranteeing every
-// v with d(src,v) < r is in the sketch. dist must be all-+Inf on entry
-// and is restored on exit via the touched list.
-func (g *Graph) nearestInto(src NodeID, k int, dist []float64, touched *[]NodeID, h *distHeap) ([]Neighbor, float64) {
-	*touched = (*touched)[:0]
+// v with d(src,v) < r is in the sketch. sc.dist must be all-+Inf on
+// entry and is restored on exit via the touched list.
+//
+// It keeps the heap on unit weights too: among nodes tied at the k-th
+// distance, the settle order picks the ones that enter the sketch, and
+// a breadth-first order would pick others. The sketch sorts its node IDs
+// alone, which needs no comparator call, and then reads each distance
+// from dist: a settled label never changes again, so that is the
+// distance the node settled at.
+func (g *Graph) nearestInto(src NodeID, k int, sc *nearScratch) ([]Neighbor, float64) {
+	dist, h := sc.dist, &sc.h
+	sc.touched = append(sc.touched[:0], src)
+	sc.settled = sc.settled[:0]
 	*h = (*h)[:0]
 	dist[src] = 0
-	*touched = append(*touched, src)
 	h.push(distItem{node: src, d: 0})
-	settled := make([]Neighbor, 0, k)
 	radius := Inf
 	for len(*h) > 0 {
 		it := h.pop()
 		if it.d > dist[it.node] {
 			continue // stale entry; settled nodes only reappear as stale
 		}
-		if len(settled) == k {
+		if len(sc.settled) == k {
 			// it is the (k+1)-th nearest: everything strictly closer is
 			// already in the sketch, so its distance is the exact radius.
 			radius = it.d
 			break
 		}
-		settled = append(settled, Neighbor{Node: it.node, D: it.d})
+		sc.settled = append(sc.settled, it.node)
 		for _, e := range g.adj[it.node] {
 			if nd := it.d + e.w; nd < dist[e.to] {
 				if dist[e.to] == Inf {
-					*touched = append(*touched, e.to)
+					sc.touched = append(sc.touched, e.to)
 				}
 				dist[e.to] = nd
 				h.push(distItem{node: e.to, d: nd})
 			}
 		}
 	}
-	for _, u := range *touched {
+	slices.Sort(sc.settled)
+	sketch := make([]Neighbor, len(sc.settled))
+	for i, v := range sc.settled {
+		sketch[i] = Neighbor{Node: v, D: dist[v]}
+	}
+	for _, u := range sc.touched {
 		dist[u] = Inf
 	}
-	slices.SortFunc(settled, byNode)
-	return settled, radius
+	return sketch, radius
 }
 
 // byNode orders neighbors by ascending node ID; IDs are unique, so the
 // order is total.
 func byNode(a, b Neighbor) int { return cmp.Compare(a.Node, b.Node) }
 
-// within calls visit, in settle order, for every node within distance r
-// of src with its exact distance: a Dijkstra that never leaves the ball,
-// so it costs its output. sc.dist must be all-+Inf on entry and is
+// within calls visit for every node within distance r of src with its
+// exact distance, in nondecreasing distance order: a breadth-first
+// search when every weight is 1, else a Dijkstra, either of which never
+// leaves the ball, so it costs its output. The two visit the same nodes
+// with the same distances (see distancesInto); only the order among
+// equal distances differs. sc.dist must be all-+Inf on entry and is
 // restored on exit. The scratch appends amortize to zero once pooled
 // buffers have warmed up to the working ball size, which is what the
 // BallSize allocation pin relies on.
 func (g *Graph) within(src NodeID, r float64, sc *nearScratch, visit func(Neighbor)) {
 	dist := sc.dist
+	if !g.nonUnit {
+		if r < 0 {
+			return
+		}
+		sc.touched = g.bfsInto(src, r, dist, sc.touched[:0])
+		for _, u := range sc.touched {
+			visit(Neighbor{Node: u, D: dist[u]})
+			dist[u] = Inf
+		}
+		return
+	}
 	sc.touched = sc.touched[:0]
 	sc.h = sc.h[:0]
 	dist[src] = 0
@@ -516,7 +548,7 @@ func (o *Oracle) PairSearch() *PairSearch {
 
 // Scan visits every node within distance r of u with its exact
 // distance: the sketch's entries when the sketch provably covers radius
-// r, otherwise the nodes an on-demand radius-bounded Dijkstra settles
+// r, otherwise the nodes an on-demand radius-bounded search reaches
 // (pooled scratch, output-sensitive — never an n-sized row).
 func (o *Oracle) Scan(u NodeID, r float64, visit func(Neighbor)) {
 	if !o.g.valid(u) {

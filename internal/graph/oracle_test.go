@@ -1,8 +1,12 @@
 package graph
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -102,44 +106,81 @@ func TestOracleRelaxedTriangle(t *testing.T) {
 	}
 }
 
+// splitGrid returns a w×h unit grid without the edges between rows
+// cut-1 and cut: two unit-weight grid components.
+func splitGrid(w, h, cut int) *Graph {
+	g := New(w * h)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			u := NodeID(y*w + x)
+			if x+1 < w {
+				g.MustAddEdge(u, u+1, 1)
+			}
+			if y+1 < h && y+1 != cut {
+				g.MustAddEdge(u, u+NodeID(w), 1)
+			}
+		}
+	}
+	return g
+}
+
 // TestOracleNearExact pins the exactness contract of the local queries:
-// Near/Ball/BallSize agree with the exact metric on every implementation,
-// for radii both inside and outside the sketch guarantee.
+// Near/Ball/BallSize of the Metric and of the Oracle, and the bounded
+// search behind the Oracle's, equal the ball read off Graph.Dijkstra's
+// heap search on every family, for radii both inside and outside the
+// sketch guarantee. On the unit-weight families the Metric's rows and
+// the bounded search are breadth-first, so this holds them to the heap.
 func TestOracleNearExact(t *testing.T) {
-	for _, fam := range oracleFamilies() {
+	for _, fam := range append(oracleFamilies(), oracleFamily{"split grid", splitGrid(12, 10, 4)}) {
 		g := fam.g
 		t.Run(fam.name, func(t *testing.T) {
 			m := NewMetric(g)
 			o := smallOracle(g, 19, 4)
+			sc := newNearScratch(g.N())
 			diam := m.Diameter()
 			if math.IsInf(diam, 1) {
 				diam = 40
 			}
 			rng := rand.New(rand.NewSource(23))
-			radii := []float64{0, 0.5, 1, 2, diam / 4, diam / 2, diam, diam + 1}
+			radii := []float64{-1, 0, 0.5, 1, 2, 2.5, diam / 4, diam / 2, diam, diam + 1, Inf}
 			for i := 0; i < 40; i++ {
 				u := NodeID(rng.Intn(g.N()))
+				ref := g.Dijkstra(u).Dist
 				for _, r := range radii {
-					want := m.Near(u, r)
-					got := o.Near(u, r)
-					if len(want) != len(got) {
-						t.Fatalf("Near(%d,%v): %d vs exact %d nodes", u, r, len(got), len(want))
-					}
-					for j := range want {
-						if want[j].Node != got[j].Node || math.Abs(want[j].D-got[j].D) > eps*(1+want[j].D) {
-							t.Fatalf("Near(%d,%v)[%d]: %+v vs exact %+v", u, r, j, got[j], want[j])
+					var want []Neighbor
+					for v, d := range ref {
+						if d <= r && d < Inf {
+							want = append(want, Neighbor{Node: NodeID(v), D: d})
 						}
 					}
-					if bs := o.BallSize(u, r); bs != m.BallSize(u, r) {
-						t.Fatalf("BallSize(%d,%v) = %d, exact %d", u, r, bs, m.BallSize(u, r))
+					check := func(what string, got []Neighbor) {
+						t.Helper()
+						if len(want) != len(got) {
+							t.Fatalf("%s(%d,%v): %d vs exact %d nodes", what, u, r, len(got), len(want))
+						}
+						for j := range want {
+							if want[j].Node != got[j].Node || math.Abs(want[j].D-got[j].D) > eps*(1+want[j].D) {
+								t.Fatalf("%s(%d,%v)[%d]: %+v vs exact %+v", what, u, r, j, got[j], want[j])
+							}
+						}
 					}
-					wantB, gotB := m.Ball(u, r), o.Ball(u, r)
-					if len(wantB) != len(gotB) {
-						t.Fatalf("Ball(%d,%v) size %d vs %d", u, r, len(gotB), len(wantB))
-					}
-					for j := range wantB {
-						if wantB[j] != gotB[j] {
-							t.Fatalf("Ball(%d,%v)[%d] = %d, exact %d", u, r, j, gotB[j], wantB[j])
+					var found []Neighbor
+					g.within(u, r, sc, func(nb Neighbor) { found = append(found, nb) })
+					slices.SortFunc(found, byNode)
+					check("within", found)
+					for _, dm := range []DistanceOracle{m, o} {
+						check(fmt.Sprintf("%T.Near", dm), dm.Near(u, r))
+						if bs := dm.BallSize(u, r); bs != len(want) {
+							t.Fatalf("%T.BallSize(%d,%v) = %d, exact %d", dm, u, r, bs, len(want))
+						}
+						ball := dm.Ball(u, r)
+						if len(ball) != len(want) {
+							t.Fatalf("%T.Ball(%d,%v) size %d vs %d", dm, u, r, len(ball), len(want))
+						}
+						for j := range want {
+							if ball[j] != want[j].Node {
+								t.Fatalf("%T.Ball(%d,%v)[%d] = %d, exact %d", dm, u, r, j, ball[j], want[j].Node)
+							}
 						}
 					}
 				}
@@ -431,10 +472,10 @@ func TestOracleTinyGraphs(t *testing.T) {
 // against the materializing Near on every family, over radii that hit
 // both the sketch path and the bounded-Dijkstra fallback.
 func TestOracleBallSizeMatchesNear(t *testing.T) {
-	for _, fam := range oracleFamilies() {
+	for _, fam := range append(oracleFamilies(), oracleFamily{"split grid", splitGrid(12, 10, 4)}) {
 		o := smallOracle(fam.g, 77, 1)
 		diam := o.Diameter()
-		for _, r := range []float64{0, 0.5, 1, 2, diam / 2, diam, diam * 2} {
+		for _, r := range []float64{-1, 0, 0.5, 1, 2, 2.5, diam / 2, diam, diam * 2, Inf} {
 			for u := 0; u < fam.g.N(); u += 17 {
 				got := o.BallSize(NodeID(u), r)
 				want := len(o.Near(NodeID(u), r))
@@ -592,4 +633,64 @@ func FuzzOracleSandwich(f *testing.F) {
 			}
 		}
 	})
+}
+
+// searchDigest hashes what a substrate build decides, as raw bits: for
+// an *Oracle the landmark order, the landmark table, every sketch's
+// (node, D) entries, the exact sketch radii and the stretch bound; for a
+// *Metric the frozen all-pairs table.
+func searchDigest(dm DistanceOracle) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	w := func(x uint64) {
+		binary.LittleEndian.PutUint64(buf[:], x)
+		h.Write(buf[:])
+	}
+	switch dm := dm.(type) {
+	case *Oracle:
+		for _, l := range dm.landmarks {
+			w(uint64(l))
+		}
+		for _, d := range dm.ltab {
+			w(math.Float64bits(d))
+		}
+		for _, sk := range dm.sketch {
+			w(uint64(len(sk)))
+			for _, nb := range sk {
+				w(uint64(nb.Node))
+				w(math.Float64bits(nb.D))
+			}
+		}
+		for _, r := range dm.rsketch {
+			w(math.Float64bits(r))
+		}
+		w(math.Float64bits(dm.stretch))
+	case *Metric:
+		dm.Precompute(0)
+		for _, d := range dm.flat.Load().d {
+			w(math.Float64bits(d))
+		}
+	}
+	return h.Sum64()
+}
+
+// TestGoldenSearchDigests pins the bits of three substrate builds. The
+// values come from builds whose every search ran on a heap Dijkstra, so
+// they hold the unit-weight grid oracle and exact table, which search
+// breadth-first, to the heap's bits; the weighted ring, whose weights
+// are not all 1, stays on the heap.
+func TestGoldenSearchDigests(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		dm   DistanceOracle
+		want uint64
+	}{
+		{"oracle grid 64x64", NewOracle(Grid(64, 64), OracleConfig{Seed: 1}), 0xca263f25c5d76526},
+		{"metric grid 32x32", NewMetric(Grid(32, 32)), 0x7f806ceafeee2ae5},
+		{"oracle weighted ring", NewOracle(WeightedRing(120, 7), OracleConfig{Seed: 1}), 0x36ad587e4fe91cfc},
+	} {
+		if got := searchDigest(tc.dm); got != tc.want {
+			t.Errorf("%s: digest %#x, want %#x", tc.name, got, tc.want)
+		}
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -16,7 +17,7 @@ var Inf = math.Inf(1)
 // distHeap is a manual binary min-heap of (node, distance) pairs for
 // Dijkstra. It deliberately avoids container/heap: the interface-based
 // Push/Pop box every item, and the boxing dominates allocation counts
-// when Precompute runs Dijkstra from every source.
+// when Precompute runs a Dijkstra from every source of a weighted graph.
 type distItem struct {
 	node NodeID
 	d    float64
@@ -86,8 +87,6 @@ func (g *Graph) Dijkstra(src NodeID) *SSSP {
 // dijkstraInto is the allocation-free core of Dijkstra: it writes
 // single-source distances from src into dist (length n), optionally
 // records predecessors into parent, and reuses h as heap scratch.
-// Precompute calls it once per missing source with the same scratch
-// buffers so an all-pairs fill allocates only the result table.
 func (g *Graph) dijkstraInto(src NodeID, dist []float64, parent []NodeID, h *distHeap) {
 	for i := range dist {
 		dist[i] = Inf
@@ -116,6 +115,56 @@ func (g *Graph) dijkstraInto(src NodeID, dist []float64, parent []NodeID, h *dis
 			}
 		}
 	}
+}
+
+// distancesInto writes the distances from src to every node into dist
+// (length n), +Inf for unreachable nodes, reusing sc's queue and heap
+// (it leaves sc.dist alone). Precompute, the lazy Row fill and the
+// oracle's landmarks call it, so an all-pairs fill allocates only its
+// table. When every weight is 1 it is a breadth-first search (Dial's
+// bucket queue with one bucket: Dial, CACM 12(11), 1969), otherwise a
+// Dijkstra. On unit weights a node's least path weight is its fewest
+// hops, a small integer that float64 adds exactly, so both give the
+// same bits. Only predecessors could differ, which is why Dijkstra,
+// whose PathTo picks routes, keeps the heap.
+// Each buffer is sized once per scratch, where appends would regrow it
+// step by step: the queue can come to hold every node.
+func (g *Graph) distancesInto(src NodeID, dist []float64, sc *nearScratch) {
+	if g.nonUnit {
+		sc.h = slices.Grow(sc.h, 64)
+		g.dijkstraInto(src, dist, nil, &sc.h)
+		return
+	}
+	for i := range dist {
+		dist[i] = Inf
+	}
+	sc.touched = g.bfsInto(src, Inf, dist, slices.Grow(sc.touched[:0], g.n))
+}
+
+// bfsInto is the breadth-first search of a unit-weight graph: it labels
+// src and every node within distance r of it in dist, and appends them
+// to queue in discovery order, which is nondecreasing distance. dist
+// must be +Inf at every node the search can reach. It returns the
+// extended queue.
+func (g *Graph) bfsInto(src NodeID, r float64, dist []float64, queue []NodeID) []NodeID {
+	dist[src] = 0
+	//motlint:ignore hotalloc reused queue grows once to the largest search
+	queue = append(queue, src)
+	for i := len(queue) - 1; i < len(queue); i++ {
+		u := queue[i]
+		nd := dist[u] + 1
+		if !(nd <= r) {
+			break // every later node is at least as far as u
+		}
+		for _, e := range g.adj[u] {
+			if dist[e.to] == Inf {
+				dist[e.to] = nd
+				//motlint:ignore hotalloc reused queue grows once to the largest search
+				queue = append(queue, e.to)
+			}
+		}
+	}
+	return queue
 }
 
 // PairSearch answers exact point-to-point distances with an A* search
@@ -449,13 +498,16 @@ func (m *Metric) Row(u NodeID) []float64 {
 		return row
 	}
 	//motlint:ignore hotalloc lazy first-touch fill runs once per row; frozen reads never reach it
-	res := m.g.Dijkstra(u)
+	row = make([]float64, m.g.n)
+	var sc nearScratch
+	//motlint:ignore hotalloc lazy first-touch fill runs once per row; frozen reads never reach it
+	m.g.distancesInto(u, row, &sc)
 	m.mu.Lock()
 	if prev, ok := m.by[u]; ok { // racing fill; keep first
 		m.mu.Unlock()
 		return prev
 	}
-	m.by[u] = res.Dist
+	m.by[u] = row
 	full := len(m.by) == m.g.n
 	m.mu.Unlock()
 	if full {
@@ -463,7 +515,7 @@ func (m *Metric) Row(u NodeID) []float64 {
 		m.Precompute(1) // every row cached: copy-only freeze, no goroutines
 		return m.Row(u)
 	}
-	return res.Dist
+	return row
 }
 
 // Precompute fills every missing source row and freezes the metric into
@@ -497,18 +549,18 @@ func (m *Metric) Precompute(par int) {
 	case len(missing) == 0:
 		// copy-only freeze
 	case par <= 1:
-		h := make(distHeap, 0, 64)
+		var sc nearScratch
 		for _, u := range missing {
-			m.g.dijkstraInto(u, flat[int(u)*n:(int(u)+1)*n], nil, &h)
+			m.g.distancesInto(u, flat[int(u)*n:(int(u)+1)*n], &sc)
 		}
 	default:
 		jobs := make(chan NodeID)
 		var pool track.Group
 		for w := 0; w < par; w++ {
 			pool.Go(func() {
-				h := make(distHeap, 0, 64) // per-worker scratch, reused across sources
+				var sc nearScratch // per-worker scratch, reused across sources
 				for u := range jobs {
-					m.g.dijkstraInto(u, flat[int(u)*n:(int(u)+1)*n], nil, &h)
+					m.g.distancesInto(u, flat[int(u)*n:(int(u)+1)*n], &sc)
 				}
 			})
 		}
@@ -518,8 +570,9 @@ func (m *Metric) Precompute(par int) {
 		close(jobs)
 		pool.Wait()
 	}
-	// Racing Precomputes build identical tables (Dijkstra is deterministic
-	// and cached rows are immutable); CompareAndSwap keeps the first.
+	// Racing Precomputes build identical tables (the searches are
+	// deterministic and cached rows are immutable); CompareAndSwap keeps
+	// the first.
 	if m.flat.CompareAndSwap(nil, &flatTable{n: n, d: flat}) {
 		frozenTables.Add(1)
 	}

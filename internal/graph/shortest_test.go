@@ -148,15 +148,29 @@ func TestBall(t *testing.T) {
 	}
 }
 
+// TestPrecomputeMatchesLazy holds the precomputed and the lazy rows to
+// Graph.Dijkstra's heap search bit for bit: on the unit grids both come
+// from breadth-first searches, on the weighted ring from the heap.
 func TestPrecomputeMatchesLazy(t *testing.T) {
-	g := Grid(8, 8)
-	lazy := NewMetric(g)
-	pre := NewMetric(g)
-	pre.Precompute(4)
-	for u := 0; u < g.N(); u += 5 {
-		for v := 0; v < g.N(); v += 7 {
-			if lazy.Dist(NodeID(u), NodeID(v)) != pre.Dist(NodeID(u), NodeID(v)) {
-				t.Fatalf("precompute mismatch at (%d,%d)", u, v)
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+	}{
+		{"grid", Grid(8, 8)},
+		{"split grid", splitGrid(8, 8, 3)},
+		{"weighted ring", WeightedRing(40, 7)},
+	} {
+		g := tc.g
+		lazy := NewMetric(g)
+		pre := NewMetric(g)
+		pre.Precompute(4)
+		for u := 0; u < g.N(); u += 5 {
+			ref := g.Dijkstra(NodeID(u)).Dist
+			for v := 0; v < g.N(); v += 7 {
+				l, p := lazy.Dist(NodeID(u), NodeID(v)), pre.Dist(NodeID(u), NodeID(v))
+				if math.Float64bits(l) != math.Float64bits(ref[v]) || math.Float64bits(p) != math.Float64bits(ref[v]) {
+					t.Fatalf("%s: (%d,%d): lazy %v, precomputed %v, Dijkstra %v", tc.name, u, v, l, p, ref[v])
+				}
 			}
 		}
 	}

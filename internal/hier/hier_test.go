@@ -476,3 +476,34 @@ func TestParentsMatchPerNodeSearch(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenBuildFingerprints pins the Fingerprint of three builds: a
+// 64×64 sketch oracle under motserve's config (sigma derived from the
+// doubling estimate) and under the scale harness's (sigma 2), and the
+// 32×32 exact metric under motserve's config. The values come from
+// builds whose every search ran on a heap Dijkstra, so they hold the
+// breadth-first unit-weight searches to the heap's hierarchies.
+func TestGoldenBuildFingerprints(t *testing.T) {
+	big := graph.Grid(64, 64)
+	o := graph.NewOracle(big, graph.OracleConfig{Seed: 1})
+	small := graph.Grid(32, 32)
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		dm   graph.DistanceOracle
+		cfg  Config
+		want uint64
+	}{
+		{"oracle 64x64 derived sigma", big, o, Config{Seed: 1}, 0x1b2789244cfe78ee},
+		{"oracle 64x64 sigma 2", big, o, Config{Seed: 1, SpecialParentOffset: 2}, 0x1d964b7771b2a534},
+		{"metric 32x32 derived sigma", small, graph.NewMetric(small), Config{Seed: 1}, 0x2a305caf460c8de6},
+	} {
+		hs, err := Build(tc.g, tc.dm, tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := hs.Fingerprint(); got != tc.want {
+			t.Errorf("%s: Fingerprint %#x, want %#x", tc.name, got, tc.want)
+		}
+	}
+}

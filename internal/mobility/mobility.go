@@ -98,11 +98,11 @@ func Generate(g *graph.Graph, m graph.DistanceOracle, cfg Config) (*Workload, er
 		for len(seq) < cfg.MovesPerObject {
 			switch cfg.Model {
 			case RandomWalk:
-				nbrs := g.NeighborIDs(cur)
-				if len(nbrs) == 0 {
+				deg := g.Degree(cur)
+				if deg == 0 {
 					return nil, fmt.Errorf("mobility: node %d has no neighbors", cur)
 				}
-				cur = nbrs[rng.Intn(len(nbrs))]
+				cur = g.NeighborAt(cur, rng.Intn(deg))
 				seq = append(seq, cur)
 			case RandomWaypoint:
 				if len(route) == 0 {

@@ -312,13 +312,7 @@ func (t *Tracker) walk(op *opState) error {
 	m := &op.msg
 	for {
 		t.obs.Arrive(m.Span, m.At.Level, int(m.At.Host), m.Now)
-		t.mu.Lock()
-		v := t.h.Step(m)
-		for v == core.LevelDone {
-			v = t.h.Step(m)
-		}
-		t.mu.Unlock()
-		switch v {
+		switch v := t.visit(m); v {
 		case core.Forward:
 			if err := t.send(op); err != nil {
 				return err
@@ -329,6 +323,21 @@ func (t *Tracker) walk(op *opState) error {
 			return fmt.Errorf("runtime: object %d: %v at %v", m.Obj, v, m.At)
 		}
 	}
+}
+
+// visit runs the handler at m's station under the store lock until it
+// leaves the station. The deferred unlock releases the lock even when a
+// step panics, so the tracker's later operations do not hang.
+//
+//motlint:hotpath
+func (t *Tracker) visit(m *core.Msg) core.Verdict {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	v := t.h.Step(m)
+	for v == core.LevelDone {
+		v = t.h.Step(m)
+	}
+	return v
 }
 
 // newOp numbers a new operation, which also versions its stamps.

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/hier"
+	"repro/internal/overlay"
 )
 
 func newTracker(t testing.TB, w, h int) (*Tracker, *graph.Graph) {
@@ -337,5 +338,73 @@ func TestTrackerOpsZeroAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, op); allocs != 0 {
 		t.Fatalf("Move+Query allocates %v per round trip, want 0", allocs)
+	}
+}
+
+// panicOverlay is an overlay whose HomeStation, which the handler's Step
+// calls, panics on its at-th call.
+type panicOverlay struct {
+	overlay.Overlay
+	calls, at int
+}
+
+func (p *panicOverlay) HomeStation(u graph.NodeID, level int) overlay.Station {
+	p.calls++
+	if p.calls == p.at {
+		panic("planted HomeStation panic")
+	}
+	return p.Overlay.HomeStation(u, level)
+}
+
+// TestStepPanicReleasesStoreLock plants a panic inside a station visit
+// and requires the tracker's next Publish and Query to return: a store
+// lock left held by the panicking visit would hang them.
+func TestStepPanicReleasesStoreLock(t *testing.T) {
+	g := graph.Grid(6, 6)
+	// Parent sets put several stations on a level, where the handler
+	// looks up the home station.
+	hs, err := hier.Build(g, graph.NewMetric(g), hier.Config{Seed: 1, UseParentSets: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := New(g, &panicOverlay{Overlay: hs, at: 1})
+	t.Cleanup(tr.Stop)
+	// within runs op on its own goroutine and reports whether it panicked;
+	// the test fails if op does not return within a few seconds.
+	within := func(what string, op func() error) (err error, panicked bool) {
+		t.Helper()
+		type result struct {
+			err      error
+			panicked bool
+		}
+		done := make(chan result, 1)
+		go func() {
+			defer func() {
+				if r := recover(); r != nil {
+					done <- result{panicked: true}
+				}
+			}()
+			done <- result{err: op()}
+		}()
+		select {
+		case r := <-done:
+			return r.err, r.panicked
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s did not return within 5s", what)
+			return nil, false
+		}
+	}
+	if _, panicked := within("the planted publish", func() error { return tr.Publish(1, 3) }); !panicked {
+		t.Fatal("the planted HomeStation panic did not fire")
+	}
+	if err, _ := within("publish after the panic", func() error { return tr.Publish(2, 20) }); err != nil {
+		t.Fatalf("publish after the panic: %v", err)
+	}
+	var proxy graph.NodeID
+	if err, _ := within("query after the panic", func() (err error) {
+		proxy, _, err = tr.Query(0, 2)
+		return err
+	}); err != nil || proxy != 20 {
+		t.Fatalf("query after the panic: proxy %d, %v; want 20", proxy, err)
 	}
 }

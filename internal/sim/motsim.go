@@ -303,10 +303,23 @@ func (s *MOTSim) pump(o core.ObjectID) {
 	if s.active[o] || len(s.queue[o]) == 0 {
 		return
 	}
-	op := s.queue[o][0]
-	s.queue[o] = s.queue[o][1:]
+	op, rest := popFront(s.queue[o])
+	s.queue[o] = rest
 	s.active[o] = true
 	s.climbed(op, s.step(&op.msg))
+}
+
+// popFront removes q's first element and returns it with the rest of q.
+// It shifts the rest down instead of reslicing past the head, so an
+// object's queue keeps one backing array and later appends do not
+// regrow it. An object's queue holds the moves issued while one of its
+// moves is in flight.
+func popFront[T any](q []T) (T, []T) {
+	first := q[0]
+	n := copy(q, q[1:])
+	var zero T
+	q[n] = zero // drop the vacated reference
+	return first, q[:n]
 }
 
 // climbed reacts to the handler at the station a climbing move stamped.

@@ -148,8 +148,8 @@ func (s *TreeSim) pump(o core.ObjectID) {
 	if s.active[o] || len(s.queue[o]) == 0 {
 		return
 	}
-	op := s.queue[o][0]
-	s.queue[o] = s.queue[o][1:]
+	op, rest := popFront(s.queue[o])
+	s.queue[o] = rest
 	s.active[o] = true
 	s.react(op, s.h.Step(&op.msg))
 }
