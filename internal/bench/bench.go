@@ -40,7 +40,8 @@
 // build rows are unpinned: their allocs/op drift between runs, because
 // the oracle's ball searches (Oracle.Scan) draw their scratch from a
 // sync.Pool that GC can empty. sim/concurrent-256 runs the discrete-event
-// simulator alone on one concurrent cell of the paper sweep's shape; the
+// simulator alone on one concurrent cell of the paper sweep's shape, and
+// stun/build-1024 one STUN tree build on the sweep's 32×32 grid; the
 // sweep/* rows run one-by-one cells only.
 package bench
 
@@ -437,6 +438,30 @@ func simConcurrent() Result {
 	})
 }
 
+// stunBuild measures one STUN tree build on the paper sweep's 32×32 grid
+// over the detection rates of its workload (100 objects × 200 moves, 100
+// queries) at the sweep's first seed stream. The metric is frozen first,
+// as the sweep's substrate cache freezes it.
+func stunBuild() Result {
+	g := graph.NearSquareGrid(1024)
+	m := graph.NewMetric(g)
+	m.Precompute(0)
+	w, err := mobility.Generate(g, m, mobility.Config{Objects: 100, MovesPerObject: 200, Queries: 100, Seed: mobility.StreamSeed(1, 1024, 0)})
+	if err != nil {
+		panic(err)
+	}
+	rates := w.DetectionRates(g)
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := stun.BuildTree(g, m, rates); err != nil {
+				panic(err)
+			}
+		}
+	})
+	return toResult("stun/build-1024", r, nil)
+}
+
 // liveNilSink measures the disabled live-telemetry fast path in
 // isolation: a Start/Observe pair on a nil *Recorder. The pin is the
 // PR-9 overhead contract's first half — live-off must stay a pointer
@@ -608,7 +633,7 @@ func Run() *Report {
 		// The scale harness's hierarchy, and motserve's at 16,384 sensors.
 		hierBuild(10000, graph.OracleConfig{}, hier.Config{Seed: 1, SpecialParentOffset: 2}),
 		hierBuild(16384, graph.OracleConfig{Seed: 1}, hier.Config{Seed: 1}),
-		scaleCell(), churnCell(), simConcurrent())
+		scaleCell(), churnCell(), simConcurrent(), stunBuild())
 	for _, class := range []string{"publish", "move", "query"} {
 		benchmarks = append(benchmarks, best(3, func() Result { return serveOps(class) }))
 	}

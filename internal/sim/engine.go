@@ -26,9 +26,11 @@
 // scheduling call, so events at equal times fire in the order they were
 // scheduled. Its queue has two lanes. Schedule queues every move before
 // Run in time order, so each joins an append-only scheduled lane in O(1).
-// An event earlier than that lane's last one goes to a binary heap of
-// event values instead, so the heap holds only the hops in flight and the
-// randomly timed queries. Run fires the earlier of the two heads. Each
+// An event earlier than that lane's last one goes to a binary heap
+// instead, so the heap holds only the hops in flight and the randomly
+// timed queries. A heap entry is (at, seq, slot), the slot indexing a
+// table of actions with a free list threaded through it, so no sift moves
+// a pointer. Run fires the earlier of the two heads. Each
 // lane is ordered by (at, seq) and no two events share it, so the merge
 // fires every event exactly where one priority queue would. An operation
 // has at most one message pending, so the drivers' operations are their
@@ -53,16 +55,40 @@ type call func()
 
 func (c call) Fire() { c() }
 
-// event is a scheduled action. (at, seq) is unique, seq breaking ties
-// between equal times first-scheduled-first.
-type event struct {
+// key is an event's place in the firing order. (at, seq) is unique, seq
+// breaking ties between equal times first-scheduled-first.
+type key struct {
 	at  float64
 	seq int64
+}
+
+func (a key) before(b key) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// event is an event on the scheduled lane: its key and its action.
+type event struct {
+	key
 	act action
 }
 
-func (a *event) before(b *event) bool {
-	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+// entry is an event on the heap: its key and the table slot that holds its
+// action. An entry holds no pointer, so a sift moves it without a write
+// barrier.
+type entry struct {
+	key
+	slot int
+}
+
+// cell i of the heap slice holds the heap's i-th entry and slot i of the
+// action table. A sift moves entries only; an action stays in its slot
+// from push to pop. Every queued entry owns one slot, so the table never
+// has more slots than the heap has held entries at once, and the append
+// that grows the heap grows the table with it.
+type cell struct {
+	entry
+	act  action // nil while the slot is free
+	free int    // while the slot is free: 1 + the next free slot, 0 at the end
 }
 
 // Engine is a deterministic discrete-event executor over the two-lane
@@ -72,7 +98,9 @@ type Engine struct {
 	seq    int64
 	lane   []event // the scheduled lane, fired from lane[head] on
 	head   int
-	heap   []event // a binary min-heap of the other events
+	heap   []cell // heap[:queued] is a binary min-heap of entries
+	queued int
+	free   int // 1 + the first free slot of the action table, 0 if none
 	steps  int64
 	limit  int64
 	faults FaultInjector
@@ -104,66 +132,79 @@ func (e *Engine) schedule(t float64, a action) {
 		t = e.now
 	}
 	e.seq++
-	ev := event{at: t, seq: e.seq, act: a}
+	k := key{at: t, seq: e.seq}
 	if n := len(e.lane); n == 0 || t >= e.lane[n-1].at {
-		e.lane = append(e.lane, ev)
+		e.lane = append(e.lane, event{key: k, act: a})
 		return
 	}
-	e.push(ev)
+	e.push(k, a)
 }
 
-// push adds ev to the heap and sifts it up.
-func (e *Engine) push(ev event) {
-	h := append(e.heap, ev)
-	i := len(h) - 1
+// push puts a in a free slot, or in a new cell when every slot is taken,
+// and sifts its entry up from the end of the heap.
+func (e *Engine) push(k key, a action) {
+	s := e.free - 1
+	if s < 0 {
+		s = len(e.heap) // every slot is taken, so queued == len(e.heap)
+		e.heap = append(e.heap, cell{})
+	} else {
+		e.free = e.heap[s].free
+	}
+	h := e.heap
+	h[s].act = a
+	i := e.queued
+	e.queued++
 	for i > 0 {
 		p := (i - 1) / 2
-		if !h[i].before(&h[p]) {
+		if !k.before(h[p].key) {
 			break
 		}
-		h[i], h[p] = h[p], h[i]
+		h[i].entry = h[p].entry
 		i = p
 	}
-	e.heap = h
+	h[i].entry = entry{key: k, slot: s}
 }
 
-// pop removes the heap's earliest event, clearing the vacated slot so its
-// action can be collected.
-func (e *Engine) pop() event {
+// pop removes the heap's earliest event and frees its slot, clearing the
+// action so it can be collected.
+func (e *Engine) pop() (float64, action) {
 	h := e.heap
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = event{}
-	h = h[:n]
-	for i := 0; ; {
+	top := h[0].entry
+	e.queued--
+	n := e.queued
+	last := h[n].entry
+	i := 0
+	for {
 		c := 2*i + 1
 		if c >= n {
 			break
 		}
-		if r := c + 1; r < n && h[r].before(&h[c]) {
+		if r := c + 1; r < n && h[r].before(h[c].key) {
 			c = r
 		}
-		if !h[c].before(&h[i]) {
+		if !h[c].before(last.key) {
 			break
 		}
-		h[i], h[c] = h[c], h[i]
+		h[i].entry = h[c].entry
 		i = c
 	}
-	e.heap = h
-	return top
+	h[i].entry = last
+	act := h[top.slot].act
+	h[top.slot].act, h[top.slot].free = nil, e.free
+	e.free = top.slot + 1
+	return top.at, act
 }
 
 // next removes the earliest event of the two lanes, which must not both
-// be empty.
-func (e *Engine) next() event {
-	if e.head < len(e.lane) && (len(e.heap) == 0 || e.lane[e.head].before(&e.heap[0])) {
+// be empty, and returns its time and action.
+func (e *Engine) next() (float64, action) {
+	if e.head < len(e.lane) && (e.queued == 0 || e.lane[e.head].before(e.heap[0].key)) {
 		ev := e.lane[e.head]
 		e.lane[e.head] = event{}
 		if e.head++; e.head == len(e.lane) {
 			e.lane, e.head = e.lane[:0], 0
 		}
-		return ev
+		return ev.at, ev.act
 	}
 	return e.pop()
 }
@@ -179,13 +220,13 @@ func (e *Engine) Run() error {
 		if e.obs != nil {
 			e.obs.GaugeMax("engine.queue", float64(e.Pending()))
 		}
-		ev := e.next()
-		e.now = ev.at
+		at, act := e.next()
+		e.now = at
 		e.steps++
 		if e.steps > e.limit {
 			return fmt.Errorf("sim: step limit %d exceeded at t=%v (livelock?)", e.limit, e.now)
 		}
-		ev.act.Fire()
+		act.Fire()
 	}
 	if e.obs != nil {
 		e.obs.GaugeMax("engine.steps", float64(e.steps))
@@ -194,7 +235,7 @@ func (e *Engine) Run() error {
 }
 
 // Pending returns the number of queued events in both lanes.
-func (e *Engine) Pending() int { return len(e.lane) - e.head + len(e.heap) }
+func (e *Engine) Pending() int { return len(e.lane) - e.head + e.queued }
 
 // Steps returns the number of events processed so far.
 func (e *Engine) Steps() int64 { return e.steps }

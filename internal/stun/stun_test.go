@@ -11,7 +11,12 @@ import (
 
 func workloadRates(t testing.TB, g *graph.Graph, m *graph.Metric, seed int64) (*mobility.Workload, map[mobility.EdgeKey]float64) {
 	t.Helper()
-	w, err := mobility.Generate(g, m, mobility.Config{Objects: 10, MovesPerObject: 100, Queries: 50, Seed: seed})
+	return workloadRatesCfg(t, g, m, mobility.Config{Objects: 10, MovesPerObject: 100, Queries: 50, Seed: seed})
+}
+
+func workloadRatesCfg(t testing.TB, g *graph.Graph, m *graph.Metric, cfg mobility.Config) (*mobility.Workload, map[mobility.EdgeKey]float64) {
+	t.Helper()
+	w, err := mobility.Generate(g, m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/mobility"
 )
 
 // Every facade directory rejects a sensor outside the network with an
@@ -90,6 +92,41 @@ func TestNewZDATRejectsBadSink(t *testing.T) {
 			}()
 			if _, err := NewZDAT(g, m, nil, ZDATOptions{Sink: sink}); err == nil {
 				t.Errorf("sink %d: accepted", sink)
+			}
+		}()
+	}
+}
+
+// NewSTUN refuses a rate key that is not an edge of the network, whatever
+// its rate, with an error naming the key, instead of panicking on an
+// endpoint outside the network or joining two sensors that are not
+// adjacent.
+func TestNewSTUNRejectsNonEdgeRates(t *testing.T) {
+	g := Grid(4, 4)
+	m := NewMetric(g)
+	for _, c := range []struct {
+		key  mobility.EdgeKey
+		rate float64
+		want string
+	}{
+		{mobility.EdgeKey{U: 0, V: 5000}, 1, "{0,5000}"},
+		{mobility.EdgeKey{U: -1, V: 2}, 1, "{-1,2}"},
+		{mobility.EdgeKey{U: 0, V: 15}, 3, "{0,15}"},
+		{mobility.EdgeKey{U: 0, V: 15}, 0, "{0,15}"},
+		{mobility.EdgeKey{U: 6, V: 6}, 1, "{6,6}"},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("key %v: panicked: %v", c.key, r)
+				}
+			}()
+			rates := EdgeRates{mobility.MakeEdgeKey(0, 1): 2, c.key: c.rate}
+			d, err := NewSTUN(g, m, rates)
+			if err == nil || d != nil {
+				t.Errorf("key %v: accepted", c.key)
+			} else if !strings.Contains(err.Error(), c.want) {
+				t.Errorf("key %v: error %q does not name the key", c.key, err)
 			}
 		}()
 	}
