@@ -40,9 +40,11 @@
 // build rows are unpinned: their allocs/op drift between runs, because
 // the oracle's ball searches (Oracle.Scan) draw their scratch from a
 // sync.Pool that GC can empty. sim/concurrent-256 runs the discrete-event
-// simulator alone on one concurrent cell of the paper sweep's shape, and
-// stun/build-1024 one STUN tree build on the sweep's 32×32 grid; the
-// sweep/* rows run one-by-one cells only.
+// simulator alone on one concurrent cell of the paper sweep's shape,
+// stun/build-1024 one STUN tree build on the sweep's 32×32 grid, and
+// treedir/replay-1024 the sweep's one-by-one workload through the three
+// baseline directories on that grid; the sweep/* rows run one-by-one
+// cells only.
 package bench
 
 import (
@@ -58,6 +60,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/hier"
@@ -462,6 +465,60 @@ func stunBuild() Result {
 	return toResult("stun/build-1024", r, nil)
 }
 
+// treedirReplay measures the baselines' entry store: the paper sweep's
+// 32×32 grid and workload (as stunBuild), with the STUN, Z-DAT and
+// Z-DAT+SC trees built once, replayed one operation at a time (publishes,
+// moves, then queries) through a fresh treedir.Directory per tree.
+func treedirReplay() Result {
+	g := graph.NearSquareGrid(1024)
+	m := graph.NewMetric(g)
+	m.Precompute(0)
+	w, err := mobility.Generate(g, m, mobility.Config{Objects: 100, MovesPerObject: 200, Queries: 100, Seed: mobility.StreamSeed(1, 1024, 0)})
+	if err != nil {
+		panic(err)
+	}
+	rates := w.DetectionRates(g)
+	st, err := stun.BuildTree(g, m, rates)
+	if err != nil {
+		panic(err)
+	}
+	zt, err := zdat.BuildTree(g, m, rates, zdat.Config{ZoneDepth: experiments.DefaultZoneDepth, Sink: graph.Undefined})
+	if err != nil {
+		panic(err)
+	}
+	trees := []struct {
+		t  *treedir.Tree
+		tc treedir.Config
+	}{{st, treedir.Config{SinkQueries: true}}, {zt, treedir.Config{}}, {zt, treedir.Config{Shortcuts: true}}}
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, c := range trees {
+				d, err := treedir.New(c.t, m, c.tc)
+				if err != nil {
+					panic(err)
+				}
+				for o, at := range w.Initial {
+					if err := d.Publish(core.ObjectID(o), at); err != nil {
+						panic(err)
+					}
+				}
+				for _, mv := range w.Moves {
+					if err := d.Move(mv.Object, mv.To); err != nil {
+						panic(err)
+					}
+				}
+				for _, q := range w.Queries {
+					if _, _, err := d.Query(q.From, q.Object); err != nil {
+						panic(err)
+					}
+				}
+			}
+		}
+	})
+	return toResult("treedir/replay-1024", r, nil)
+}
+
 // liveNilSink measures the disabled live-telemetry fast path in
 // isolation: a Start/Observe pair on a nil *Recorder. The pin is the
 // PR-9 overhead contract's first half — live-off must stay a pointer
@@ -633,7 +690,7 @@ func Run() *Report {
 		// The scale harness's hierarchy, and motserve's at 16,384 sensors.
 		hierBuild(10000, graph.OracleConfig{}, hier.Config{Seed: 1, SpecialParentOffset: 2}),
 		hierBuild(16384, graph.OracleConfig{Seed: 1}, hier.Config{Seed: 1}),
-		scaleCell(), churnCell(), simConcurrent(), stunBuild())
+		scaleCell(), churnCell(), simConcurrent(), stunBuild(), treedirReplay())
 	for _, class := range []string{"publish", "move", "query"} {
 		benchmarks = append(benchmarks, best(3, func() Result { return serveOps(class) }))
 	}

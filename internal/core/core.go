@@ -160,5 +160,5 @@ func (d *Directory) Objects() []ObjectID {
 func (d *Directory) String() string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return fmt.Sprintf("mot.Directory{objects=%d slots=%d}", len(d.loc), len(d.h.slots))
+	return fmt.Sprintf("mot.Directory{objects=%d slots=%d}", len(d.loc), d.h.nslots)
 }

@@ -56,8 +56,17 @@ func TestInvariantCheckerDetectsCorruption(t *testing.T) {
 
 	t.Run("orphan entry injected", func(t *testing.T) {
 		d := setup()
-		// Stamp the object at a station that is not on its trail.
-		orphan := overlay.Station{Level: 1, Key: 999, Host: 5}
+		// Stamp the object at a level-1 station that is not on its trail.
+		var orphan overlay.Station
+		found := false
+		for u := graph.NodeID(0); u < 36 && !found; u++ {
+			orphan = d.h.ov.HomeStation(u, 1)
+			_, held := d.h.entry(orphan, 1)
+			found = !held
+		}
+		if !found {
+			t.Fatal("every level-1 station holds the object")
+		}
 		d.h.slot(orphan).dl[1] = dlEntry{hasChild: false}
 		if err := d.CheckInvariants(); err == nil {
 			t.Fatal("missed orphan entry")
@@ -123,10 +132,10 @@ func TestMoveReportsMissingTrail(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Erase every trace of the object.
-	for _, s := range d.h.slots {
+	d.h.eachSlot(func(s *slot) {
 		delete(s.dl, 1)
 		delete(s.sdl, 1)
-	}
+	})
 	if err := d.Move(1, 4); err == nil {
 		t.Fatal("move over an erased trail succeeded")
 	}

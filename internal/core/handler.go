@@ -21,12 +21,6 @@ import (
 // asymmetry: the prober's parent set at level ceil(log d)+1 always
 // contains the target's home station.
 
-// slotKey identifies a directory slot: one station of the overlay.
-type slotKey struct {
-	level int
-	key   int64
-}
-
 // dlEntry is one object's record in a station's detection list.
 type dlEntry struct {
 	// child is the next station downward on the object's trail; hasChild
@@ -124,12 +118,18 @@ func (m *Msg) Climbing() bool { return m.phase == climbing }
 // Handler is Algorithm 1's per-station rule over one slot store (DL, SDL,
 // versions, special parents), with the §5 LB surcharge and the protocol
 // obs events. Drivers serialize steps and add their samples to Meter.
+//
+// The store is level-major: rows[l][k] is the slot of station (l, k), nil
+// until first stamped. A station's Key lies in [0, n) for the overlay's
+// graph of n nodes (overlay.Station), so a level's row is made once, at
+// length n, when the level is first stamped.
 type Handler struct {
-	ov    overlay.Overlay
-	m     graph.DistanceOracle
-	cfg   Config
-	slots map[slotKey]*slot
-	Meter CostMeter
+	ov     overlay.Overlay
+	m      graph.DistanceOracle
+	cfg    Config
+	rows   [][]*slot
+	nslots int // materialized slots
+	Meter  CostMeter
 }
 
 // NewHandler returns an empty slot store over ov. Of cfg it uses
@@ -138,7 +138,7 @@ func NewHandler(ov overlay.Overlay, cfg Config) *Handler {
 	if cfg.Placement == nil {
 		cfg.Placement = HostPlacement{}
 	}
-	return &Handler{ov: ov, m: ov.Metric(), cfg: cfg, slots: make(map[slotKey]*slot)}
+	return &Handler{ov: ov, m: ov.Metric(), cfg: cfg}
 }
 
 // CheckSensor reports a sensor outside the overlay's graph, naming it and
@@ -402,14 +402,13 @@ func (h *Handler) event(m *Msg, kind string, st overlay.Station, cost float64) {
 
 // Wipe erases every DL and SDL record of m's object, ahead of a re-stamp
 // (the §7 fine-grained repair) or as a defensive sweep. Deletions commute,
-// so the sweep order is irrelevant; one aggregate event at m.Owner marks it
-// rather than per-slot events whose order would track map iteration.
+// so one aggregate event at m.Owner marks it rather than per-slot events.
 func (h *Handler) Wipe(m *Msg) {
 	m.Span.Event(obs.EvWipe, -1, int(m.Owner), 0, m.Now)
-	for _, s := range h.slots {
+	h.eachSlot(func(s *slot) {
 		delete(s.dl, m.Obj)
 		delete(s.sdl, m.Obj)
-	}
+	})
 }
 
 // Walk drives m through the handler in place, for drivers that apply a
@@ -432,20 +431,46 @@ func (h *Handler) Walk(m *Msg, visit func(overlay.Station)) Verdict {
 	}
 }
 
+// slot returns st's slot, making it, and its level's row, on first use.
 func (h *Handler) slot(st overlay.Station) *slot {
-	k := slotKey{st.Level, st.Key}
-	s, ok := h.slots[k]
-	if !ok {
+	for st.Level >= len(h.rows) {
+		// A level first stamped, or one a repair added to the hierarchy.
+		h.rows = append(h.rows, nil) //motlint:ignore hotalloc lazy one-time extension of the level list
+	}
+	row := h.rows[st.Level]
+	if row == nil {
+		row = make([]*slot, h.m.Graph().N()) //motlint:ignore hotalloc lazy one-time materialization of a level's row
+		h.rows[st.Level] = row
+	}
+	s := row[st.Key]
+	if s == nil {
 		//motlint:ignore hotalloc lazy one-time materialization of a station's slot
 		s = &slot{station: st, dl: make(map[ObjectID]dlEntry)}
-		h.slots[k] = s
+		row[st.Key] = s
+		h.nslots++
 	}
 	return s
 }
 
+// peek returns st's slot if it has been made. A station outside the
+// store's rows has none.
 func (h *Handler) peek(st overlay.Station) (*slot, bool) {
-	s, ok := h.slots[slotKey{st.Level, st.Key}]
-	return s, ok
+	if st.Level < 0 || st.Level >= len(h.rows) || st.Key < 0 || st.Key >= int64(len(h.rows[st.Level])) {
+		return nil, false
+	}
+	s := h.rows[st.Level][st.Key]
+	return s, s != nil
+}
+
+// eachSlot calls f on every materialized slot in (level, key) order.
+func (h *Handler) eachSlot(f func(*slot)) {
+	for _, row := range h.rows {
+		for _, s := range row {
+			if s != nil {
+				f(s)
+			}
+		}
+	}
 }
 
 // entry returns o's DL entry at st, if any. Reads never create a slot.

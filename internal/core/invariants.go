@@ -23,23 +23,31 @@ func (d *Directory) CheckInvariants() error {
 //     detection-list entries),
 //   - every SDL shortcut points at a station that still holds the object.
 func (h *Handler) CheckInvariants(loc map[ObjectID]graph.NodeID) error {
+	// Every holder on an object's trail is counted once here, so the
+	// trail holds all of them exactly when the counts agree.
+	holders := map[ObjectID]int{}
+	h.eachSlot(func(s *slot) {
+		for o := range s.dl {
+			holders[o]++
+		}
+	})
 	root := h.ov.Root()
 	for o, proxy := range loc {
 		if _, ok := h.entry(root, o); !ok {
 			return fmt.Errorf("core: invariant: root does not hold object %d", o)
 		}
-		reach := map[slotKey]bool{}
+		reach := map[*slot]bool{}
 		st := root
 		for {
-			k := slotKey{st.Level, st.Key}
-			if reach[k] {
-				return fmt.Errorf("core: invariant: trail for object %d cycles at %v", o, st)
-			}
-			reach[k] = true
 			e, has := h.entry(st, o)
 			if !has {
 				return fmt.Errorf("core: invariant: trail station %v lost object %d", st, o)
 			}
+			s, _ := h.peek(st)
+			if reach[s] {
+				return fmt.Errorf("core: invariant: trail for object %d cycles at %v", o, st)
+			}
+			reach[s] = true
 			if !e.hasChild {
 				if st.Level != 0 {
 					return fmt.Errorf("core: invariant: trail for object %d ends above level 0 at %v", o, st)
@@ -54,22 +62,28 @@ func (h *Handler) CheckInvariants(loc map[ObjectID]graph.NodeID) error {
 			}
 			st = e.child
 		}
-		// No orphans: every holder must be on the trail.
-		for k, s := range h.slots {
-			if _, has := s.dl[o]; has && !reach[k] {
-				return fmt.Errorf("core: invariant: orphaned entry for object %d at %v", o, s.station)
-			}
+		if holders[o] == len(reach) {
+			continue
 		}
+		// No orphans: name the first holder off the trail.
+		var orphan *slot
+		h.eachSlot(func(s *slot) {
+			if _, has := s.dl[o]; has && !reach[s] && orphan == nil {
+				orphan = s
+			}
+		})
+		return fmt.Errorf("core: invariant: orphaned entry for object %d at %v", o, orphan.station)
 	}
 	// SDL shortcuts point at live holders.
-	for _, s := range h.slots {
+	var err error
+	h.eachSlot(func(s *slot) {
 		for o, se := range s.sdl {
-			if _, ok := h.entry(se.child, o); !ok {
-				return fmt.Errorf("core: invariant: SDL at %v points to %v which lost object %d", s.station, se.child, o)
+			if _, ok := h.entry(se.child, o); !ok && err == nil {
+				err = fmt.Errorf("core: invariant: SDL at %v points to %v which lost object %d", s.station, se.child, o)
 			}
 		}
-	}
-	return nil
+	})
+	return err
 }
 
 // LoadByNode returns, for each physical node 0..n-1, the number of object
@@ -85,7 +99,7 @@ func (d *Directory) LoadByNode(n int) []int {
 // LoadByNode is Directory.LoadByNode over the store.
 func (h *Handler) LoadByNode(n int) []int {
 	counts := make([]int, n)
-	for _, s := range h.slots {
+	h.eachSlot(func(s *slot) {
 		spread := h.distributed(s.station)
 		bump := func(o ObjectID) {
 			host := s.station.Host
@@ -102,7 +116,7 @@ func (h *Handler) LoadByNode(n int) []int {
 		for o := range s.sdl {
 			bump(o)
 		}
-	}
+	})
 	return counts
 }
 
@@ -110,16 +124,16 @@ func (h *Handler) LoadByNode(n int) []int {
 func (d *Directory) SlotCount() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.h.slots)
+	return d.h.nslots
 }
 
 // EntryCount returns the total number of DL and SDL entries.
 func (d *Directory) EntryCount() (dl, sdl int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, s := range d.h.slots {
+	d.h.eachSlot(func(s *slot) {
 		dl += len(s.dl)
 		sdl += len(s.sdl)
-	}
+	})
 	return dl, sdl
 }

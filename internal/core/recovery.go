@@ -17,22 +17,6 @@ import (
 // Recovery message cost is metered separately (CostMeter.RecoveryCost) so
 // fault-free cost ratios stay comparable.
 
-// sortedSlotKeys returns the materialized slot keys in (level, key) order,
-// for deterministic sweeps over the slot map.
-func (h *Handler) sortedSlotKeys() []slotKey {
-	keys := make([]slotKey, 0, len(h.slots))
-	for k := range h.slots {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].level != keys[j].level {
-			return keys[i].level < keys[j].level
-		}
-		return keys[i].key < keys[j].key
-	})
-	return keys
-}
-
 // Unpublish removes object o from the directory: its trail is erased from
 // the root down to the proxy (charged as one recovery walk) and its
 // ground-truth record dropped. This is the "sensor leave / object retired"
@@ -79,8 +63,7 @@ func (d *Directory) DropHost(n graph.NodeID) []ObjectID {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	damaged := map[ObjectID]bool{}
-	for _, k := range d.h.sortedSlotKeys() {
-		s := d.h.slots[k]
+	d.h.eachSlot(func(s *slot) {
 		if s.station.Host == n {
 			for o := range s.dl {
 				damaged[o] = true
@@ -90,7 +73,7 @@ func (d *Directory) DropHost(n graph.NodeID) []ObjectID {
 			}
 			s.dl = make(map[ObjectID]dlEntry)
 			s.sdl = make(map[ObjectID]sdlEntry)
-			continue
+			return
 		}
 		for o, se := range s.sdl {
 			if se.child.Host == n {
@@ -103,7 +86,7 @@ func (d *Directory) DropHost(n graph.NodeID) []ObjectID {
 				damaged[o] = true
 			}
 		}
-	}
+	})
 	out := make([]ObjectID, 0, len(damaged))
 	for o := range damaged {
 		out = append(out, o)
@@ -183,11 +166,11 @@ func (d *Directory) StaleObjects(skip func(graph.NodeID) bool) []ObjectID {
 	// them, so their objects must be re-stamped even when the walk
 	// below the new root succeeds, or the fragments leak as orphans.
 	var high []*slot
-	for _, k := range d.h.sortedSlotKeys() {
-		if s := d.h.slots[k]; k.level > root.Level && (len(s.dl) > 0 || len(s.sdl) > 0) {
+	d.h.eachSlot(func(s *slot) {
+		if s.station.Level > root.Level && (len(s.dl) > 0 || len(s.sdl) > 0) {
 			high = append(high, s)
 		}
-	}
+	})
 	for _, o := range objs {
 		if !d.trailIntact(o, d.loc[o], root) || holdsAbove(high, o) {
 			out = append(out, o)

@@ -20,7 +20,9 @@ import (
 // Station is one directory slot in the overlay: a (level, key) pair hosted
 // at a physical sensor node. For the constant-doubling HS the key is the
 // leader's node ID; for the general-network partition the key is a cluster
-// ID (several clusters per level may share a physical host).
+// ID (several clusters per level may share a physical host). Either way
+// Key lies in [0, n) for the overlay's graph of n nodes, and the MOT slot
+// store indexes its per-level rows by it.
 type Station struct {
 	Level int
 	Key   int64

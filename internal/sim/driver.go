@@ -55,6 +55,11 @@ func (c *DriverConfig) fill() {
 // Call eng.Run afterwards to execute.
 func Schedule(target Target, w *mobility.Workload, cfg DriverConfig) (float64, error) {
 	cfg.fill()
+	// Every move, and any query due after the last one, joins the
+	// engine's scheduled lane: size it once.
+	if r, ok := target.(interface{ reserve(n int) }); ok {
+		r.reserve(len(w.Moves) + len(w.Queries))
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	for o, at := range w.Initial {
 		if err := target.Publish(core.ObjectID(o), at); err != nil {

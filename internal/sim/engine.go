@@ -40,6 +40,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -125,6 +126,10 @@ func (e *Engine) At(t float64, fn func()) { e.schedule(t, call(fn)) }
 // After schedules fn delay time units from now (a negative delay means
 // now).
 func (e *Engine) After(delay float64, fn func()) { e.schedule(e.now+delay, call(fn)) }
+
+// reserve makes room on the scheduled lane for n more events, so a
+// caller that knows how many it will queue before Run grows the lane once.
+func (e *Engine) reserve(n int) { e.lane = slices.Grow(e.lane, n) }
 
 // schedule queues a at absolute time t (clamped to now for past times).
 func (e *Engine) schedule(t float64, a action) {

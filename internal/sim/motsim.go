@@ -49,6 +49,23 @@ type QueryResult struct {
 	Waited   bool
 }
 
+// motObject is one object's state in MOTSim. Its flights point to it, so
+// only the calls that issue them look it up.
+type motObject struct {
+	proxy graph.NodeID // the ground truth
+
+	// Same-object maintenance operations execute in issue order — the
+	// serialization the paper's period scheme Φ(i) enforces for
+	// closely-spaced operations (§4.1.2; see DESIGN.md). Operations for
+	// different objects, and all queries, interleave freely.
+	queue  []*flight
+	active bool
+
+	// fwd[st] is the tombstone a delete left at st under Redirects: the
+	// destination of the move that erased the object's entry there.
+	fwd map[overlay.Station]graph.NodeID
+}
+
 // MOTSim simulates concurrent MOT executions over a single-parent overlay
 // (Algorithm 1's simple form; parent sets are a one-by-one refinement). It
 // drives core's station handler, delivering each next station at now +
@@ -59,19 +76,8 @@ type MOTSim struct {
 	m   graph.DistanceOracle
 	cfg Config
 
-	h   *core.Handler
-	loc map[core.ObjectID]graph.NodeID
-
-	// fwd[o][st] is the tombstone a delete left at st under Redirects:
-	// the destination of the move that erased o's entry there.
-	fwd map[core.ObjectID]map[overlay.Station]graph.NodeID
-
-	// Same-object maintenance operations execute in issue order — the
-	// serialization the paper's period scheme Φ(i) enforces for
-	// closely-spaced operations (§4.1.2; see DESIGN.md). Operations for
-	// different objects, and all queries, interleave freely.
-	queue  map[core.ObjectID][]*flight
-	active map[core.ObjectID]bool
+	h    *core.Handler
+	objs map[core.ObjectID]*motObject
 
 	// waiters[slot][o] = queries parked at a stale bottom-level proxy,
 	// resumed by the delete message carrying the new proxy.
@@ -110,14 +116,14 @@ func NewMOT(ov overlay.Overlay, eng *Engine, cfg Config) (*MOTSim, error) {
 		m:       ov.Metric(),
 		cfg:     cfg,
 		h:       core.NewHandler(ov, core.Config{}),
-		loc:     make(map[core.ObjectID]graph.NodeID),
-		fwd:     make(map[core.ObjectID]map[overlay.Station]graph.NodeID),
-		queue:   make(map[core.ObjectID][]*flight),
-		active:  make(map[core.ObjectID]bool),
+		objs:    make(map[core.ObjectID]*motObject),
 		waiters: make(map[overlay.Station]map[core.ObjectID][]*flight),
 		obs:     cfg.Obs,
 	}, nil
 }
+
+// reserve sizes the engine's scheduled lane for n more events.
+func (s *MOTSim) reserve(n int) { s.eng.reserve(n) }
 
 // Meter returns the accumulated cost counters.
 func (s *MOTSim) Meter() core.CostMeter { return s.h.Meter }
@@ -135,8 +141,10 @@ func (s *MOTSim) Lost() []error { return s.lost }
 
 // Location returns the ground-truth proxy of o.
 func (s *MOTSim) Location(o core.ObjectID) (graph.NodeID, bool) {
-	v, ok := s.loc[o]
-	return v, ok
+	if obj, ok := s.objs[o]; ok {
+		return obj.proxy, true
+	}
+	return 0, false
 }
 
 func (s *MOTSim) fail(format string, args ...interface{}) {
@@ -149,13 +157,13 @@ func (s *MOTSim) Publish(o core.ObjectID, at graph.NodeID) error {
 	if err := s.h.CheckSensor(at); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
-	if _, ok := s.loc[o]; ok {
+	if _, ok := s.objs[o]; ok {
 		return fmt.Errorf("sim: object %d already published", o)
 	}
 	m := s.h.NewMsg(core.PublishMsg, o, 0, at)
 	m.Span = s.obs.StartSpan(obs.OpPublish, 0, int(o), s.eng.Now())
 	s.instant(&m)
-	s.loc[o] = at
+	s.objs[o] = &motObject{proxy: at}
 	s.h.Meter.PublishCost += m.Cost
 	s.h.Meter.PublishOps++
 	m.Span.End(s.eng.Now())
@@ -194,6 +202,7 @@ func (s *MOTSim) step(m *core.Msg) core.Verdict {
 // engine event of its pending leg.
 type flight struct {
 	s        *MOTSim
+	obj      *motObject
 	id       uint64
 	hop      int
 	msg      core.Msg
@@ -234,7 +243,7 @@ func (op *flight) Fire() {
 		s.erased(op, s.step(m))
 	case queryLeg:
 		s.arrive(m)
-		m.Truth = s.loc[m.Obj]
+		m.Truth = op.obj.proxy
 		s.probed(op, s.step(m))
 	case chaseLeg:
 		s.chased(op)
@@ -278,34 +287,35 @@ func (s *MOTSim) IssueMove(o core.ObjectID, to graph.NodeID, at float64) error {
 	if err := s.h.CheckSensor(to); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
-	if _, ok := s.loc[o]; !ok {
+	obj, ok := s.objs[o]
+	if !ok {
 		return fmt.Errorf("sim: object %d not published", o)
 	}
 	s.eng.At(at, func() {
-		from := s.loc[o]
+		from := obj.proxy
 		if from == to {
 			return
 		}
-		s.loc[o] = to
+		obj.proxy = to
 		s.nextOp++
 		// The operation number is also the stamped version.
-		op := &flight{s: s, id: s.nextOp, msg: s.h.NewMsg(core.MoveMsg, o, s.nextOp, to), optimal: s.m.Dist(from, to)}
+		op := &flight{s: s, obj: obj, id: s.nextOp, msg: s.h.NewMsg(core.MoveMsg, o, s.nextOp, to), optimal: s.m.Dist(from, to)}
 		op.msg.Span = s.obs.StartSpan(obs.OpMove, op.id, int(o), s.eng.Now())
-		s.queue[o] = append(s.queue[o], op)
-		s.pump(o)
+		obj.queue = append(obj.queue, op)
+		s.pump(obj)
 	})
 	return nil
 }
 
-// pump starts the next queued maintenance operation of o, if any and none
-// is running.
-func (s *MOTSim) pump(o core.ObjectID) {
-	if s.active[o] || len(s.queue[o]) == 0 {
+// pump starts the next queued maintenance operation of obj, if any and
+// none is running.
+func (s *MOTSim) pump(obj *motObject) {
+	if obj.active || len(obj.queue) == 0 {
 		return
 	}
-	op, rest := popFront(s.queue[o])
-	s.queue[o] = rest
-	s.active[o] = true
+	op, rest := popFront(obj.queue)
+	obj.queue = rest
+	obj.active = true
 	s.climbed(op, s.step(&op.msg))
 }
 
@@ -326,7 +336,7 @@ func popFront[T any](q []T) (T, []T) {
 func (s *MOTSim) climbed(op *flight, v core.Verdict) {
 	m := &op.msg
 	if v != core.Overtaken {
-		delete(s.fwd[m.Obj], m.At)
+		delete(op.obj.fwd, m.At)
 	}
 	switch {
 	case v != core.Forward:
@@ -368,10 +378,10 @@ func (s *MOTSim) erased(op *flight, v core.Verdict) {
 	m := &op.msg
 	switch v {
 	case core.Forward:
-		s.tombstone(m)
+		s.tombstone(op)
 		s.deleteStep(op)
 	case core.Done:
-		s.tombstone(m)
+		s.tombstone(op)
 		s.resolveWaiters(m.At, m.Obj, m.Owner)
 		s.finishMove(op)
 	default:
@@ -381,22 +391,22 @@ func (s *MOTSim) erased(op *flight, v core.Verdict) {
 	}
 }
 
-// tombstone leaves the mover's destination where the delete just erased.
-func (s *MOTSim) tombstone(m *core.Msg) {
+// tombstone leaves the mover's destination where op's delete just erased.
+func (s *MOTSim) tombstone(op *flight) {
 	if !s.cfg.Redirects {
 		return
 	}
-	if s.fwd[m.Obj] == nil {
-		s.fwd[m.Obj] = make(map[overlay.Station]graph.NodeID)
+	if op.obj.fwd == nil {
+		op.obj.fwd = make(map[overlay.Station]graph.NodeID)
 	}
-	s.fwd[m.Obj][m.At] = m.Owner
+	op.obj.fwd[op.msg.At] = op.msg.Owner
 }
 
 func (s *MOTSim) finishMove(op *flight) {
 	s.h.Meter.AddMaintSample(op.msg.Cost, op.optimal)
 	op.msg.Span.End(s.eng.Now())
-	s.active[op.msg.Obj] = false
-	s.pump(op.msg.Obj)
+	op.obj.active = false
+	s.pump(op.obj)
 }
 
 // abortMove handles a maintenance message that exhausted its delivery
@@ -412,23 +422,24 @@ func (s *MOTSim) abortMove(op *flight, err error) {
 	// The repair walk is its own recovery span, sharing the failed move's
 	// operation number (kind disambiguates in the export sort).
 	rspan := s.obs.StartSpan(obs.OpRecovery, op.id, int(m.Obj), s.eng.Now())
-	s.repair(rspan, m.Obj, m.Ver)
+	s.repair(rspan, op)
 	rspan.End(s.eng.Now())
-	s.active[m.Obj] = false
-	s.pump(m.Obj)
+	op.obj.active = false
+	s.pump(op.obj)
 }
 
-// repair re-establishes o's trail after a failed operation left it in an
-// unknown intermediate state: core's wipe, then the home chain of the
-// ground-truth proxy re-stamped at the failed operation's version (later
+// repair re-establishes the trail of failed operation op's object, which
+// op left in an unknown intermediate state: core's wipe, then the home
+// chain of the ground-truth proxy re-stamped at op's version (later
 // queued moves carry higher ones) — the §7 fine-grained path. Queries
 // parked at stale proxies are released toward the repaired proxy.
-func (s *MOTSim) repair(span obs.Span, o core.ObjectID, ver uint64) {
-	proxy := s.loc[o]
-	m := s.h.NewMsg(core.PublishMsg, o, ver, proxy)
+func (s *MOTSim) repair(span obs.Span, op *flight) {
+	obj, o := op.obj, op.msg.Obj
+	proxy := obj.proxy
+	m := s.h.NewMsg(core.PublishMsg, o, op.msg.Ver, proxy)
 	m.Span, m.Now = span, s.eng.Now()
 	s.h.Wipe(&m)
-	delete(s.fwd, o)
+	obj.fwd = nil
 	s.instant(&m)
 	s.h.Meter.RecoveryCost += m.Cost
 	s.h.Meter.RecoveryOps++
@@ -465,12 +476,13 @@ func (s *MOTSim) IssueQuery(origin graph.NodeID, o core.ObjectID, at float64) er
 	if err := s.h.CheckSensor(origin); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
-	if _, ok := s.loc[o]; !ok {
+	obj, ok := s.objs[o]
+	if !ok {
 		return fmt.Errorf("sim: object %d not published", o)
 	}
 	s.eng.At(at, func() {
 		s.nextOp++
-		q := &flight{s: s, id: s.nextOp, msg: s.h.NewMsg(core.QueryMsg, o, 0, origin), origin: origin, optimal: s.m.Dist(origin, s.loc[o])}
+		q := &flight{s: s, obj: obj, id: s.nextOp, msg: s.h.NewMsg(core.QueryMsg, o, 0, origin), origin: origin, optimal: s.m.Dist(origin, obj.proxy)}
 		q.msg.Span = s.obs.StartSpan(obs.OpQuery, q.id, int(o), s.eng.Now())
 		s.forward(q)
 	})
@@ -527,7 +539,7 @@ func (s *MOTSim) chased(q *flight) {
 	m, proxy := &q.msg, q.dest
 	m.At = overlay.Station{Level: 0, Key: int64(proxy), Host: proxy}
 	s.obs.Arrive(m.Span, 0, int(proxy), s.eng.Now())
-	if s.loc[m.Obj] == proxy {
+	if q.obj.proxy == proxy {
 		s.complete(q)
 		return
 	}
@@ -546,7 +558,7 @@ func (s *MOTSim) restart(q *flight) {
 		return
 	}
 	if s.cfg.Redirects {
-		if to, ok := s.fwd[m.Obj][m.At]; ok && to != m.At.Host {
+		if to, ok := q.obj.fwd[m.At]; ok && to != m.At.Host {
 			s.chase(q, to)
 			return
 		}
@@ -576,5 +588,9 @@ func (s *MOTSim) CheckInvariants() error {
 	for _, err := range s.errs {
 		return fmt.Errorf("sim: protocol error during run: %w", err)
 	}
-	return s.h.CheckInvariants(s.loc)
+	loc := make(map[core.ObjectID]graph.NodeID, len(s.objs))
+	for o, obj := range s.objs {
+		loc[o] = obj.proxy
+	}
+	return s.h.CheckInvariants(loc)
 }

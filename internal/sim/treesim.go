@@ -15,14 +15,11 @@ import (
 // queries interleave freely, wait at a stale proxy for the delete that
 // carries the new one, and restart when they lose the trail.
 type TreeSim struct {
-	eng *Engine
-	t   *treedir.Tree
-	m   *graph.Metric
-	h   *treedir.Handler
-	loc map[core.ObjectID]graph.NodeID
-
-	queue  map[core.ObjectID][]*treeFlight
-	active map[core.ObjectID]bool
+	eng  *Engine
+	t    *treedir.Tree
+	m    *graph.Metric
+	h    *treedir.Handler
+	objs map[core.ObjectID]*treeObject
 
 	// waiters holds the queries parked at a stale proxy's leaf, resumed
 	// by the delete that erases it.
@@ -30,6 +27,14 @@ type TreeSim struct {
 
 	results []QueryResult
 	errs    []error
+}
+
+// treeObject is one object's state in TreeSim: its proxy, and its moves
+// queued behind the one that runs. Its flights point to it.
+type treeObject struct {
+	proxy  graph.NodeID
+	queue  []*treeFlight
+	active bool
 }
 
 // parked names a leaf where queries for an object wait.
@@ -42,6 +47,7 @@ type parked struct {
 // next hop or its chase: it has at most one pending.
 type treeFlight struct {
 	s        *TreeSim
+	obj      *treeObject
 	msg      treedir.Msg
 	optimal  float64
 	origin   graph.NodeID // queries only, like restarts and waited
@@ -57,7 +63,7 @@ func (op *treeFlight) Fire() {
 	if op.chasing {
 		op.chasing = false
 		m.At = s.t.Leaf(op.proxy)
-		if s.loc[m.Obj] == op.proxy {
+		if op.obj.proxy == op.proxy {
 			s.complete(op)
 			return
 		}
@@ -66,7 +72,7 @@ func (op *treeFlight) Fire() {
 	}
 	m.At = m.Next
 	if m.Kind == core.QueryMsg {
-		m.Truth = s.loc[m.Obj]
+		m.Truth = op.obj.proxy
 	}
 	s.react(op, s.h.Step(m))
 }
@@ -81,12 +87,13 @@ func NewTree(t *treedir.Tree, m *graph.Metric, eng *Engine, tc treedir.Config) (
 	}
 	return &TreeSim{
 		eng: eng, t: t, m: m, h: h,
-		loc:     make(map[core.ObjectID]graph.NodeID),
-		queue:   make(map[core.ObjectID][]*treeFlight),
-		active:  make(map[core.ObjectID]bool),
+		objs:    make(map[core.ObjectID]*treeObject),
 		waiters: make(map[parked][]*treeFlight),
 	}, nil
 }
+
+// reserve sizes the engine's scheduled lane for n more events.
+func (s *TreeSim) reserve(n int) { s.eng.reserve(n) }
 
 // Meter returns the accumulated cost counters.
 func (s *TreeSim) Meter() core.CostMeter { return s.h.Meter }
@@ -103,7 +110,7 @@ func (s *TreeSim) fail(format string, args ...interface{}) {
 
 // Publish stamps o's initial leaf-to-root trail instantly.
 func (s *TreeSim) Publish(o core.ObjectID, at graph.NodeID) error {
-	if _, ok := s.loc[o]; ok {
+	if _, ok := s.objs[o]; ok {
 		return fmt.Errorf("sim: object %d already published", o)
 	}
 	m, err := s.h.NewMsg(core.PublishMsg, o, at)
@@ -111,7 +118,7 @@ func (s *TreeSim) Publish(o core.ObjectID, at graph.NodeID) error {
 		return fmt.Errorf("sim: %w", err)
 	}
 	s.h.Walk(&m)
-	s.loc[o] = at
+	s.objs[o] = &treeObject{proxy: at}
 	s.h.Meter.PublishCost += m.Cost
 	s.h.Meter.PublishOps++
 	return nil
@@ -121,7 +128,8 @@ func (s *TreeSim) Publish(o core.ObjectID, at graph.NodeID) error {
 // proxy changes at the issue time; the tree update queues behind any
 // still-running move of the same object.
 func (s *TreeSim) IssueMove(o core.ObjectID, to graph.NodeID, at float64) error {
-	if _, ok := s.loc[o]; !ok {
+	obj, ok := s.objs[o]
+	if !ok {
 		return fmt.Errorf("sim: object %d not published", o)
 	}
 	if s.t.Leaf(to) < 0 {
@@ -130,33 +138,34 @@ func (s *TreeSim) IssueMove(o core.ObjectID, to graph.NodeID, at float64) error 
 	// The message is built when the move is due: the engine holds every
 	// scheduled move at once, so its closure stays small.
 	s.eng.At(at, func() {
-		from := s.loc[o]
+		from := obj.proxy
 		if from == to {
 			return
 		}
-		s.loc[o] = to
+		obj.proxy = to
 		m, _ := s.h.NewMsg(core.MoveMsg, o, to) // to's leaf is checked above
-		s.queue[o] = append(s.queue[o], &treeFlight{s: s, msg: m, optimal: s.m.Dist(from, to)})
-		s.pump(o)
+		obj.queue = append(obj.queue, &treeFlight{s: s, obj: obj, msg: m, optimal: s.m.Dist(from, to)})
+		s.pump(obj)
 	})
 	return nil
 }
 
-// pump starts o's next queued move, if any and none is running: the new
+// pump starts obj's next queued move, if any and none is running: the new
 // proxy's leaf is stamped at once.
-func (s *TreeSim) pump(o core.ObjectID) {
-	if s.active[o] || len(s.queue[o]) == 0 {
+func (s *TreeSim) pump(obj *treeObject) {
+	if obj.active || len(obj.queue) == 0 {
 		return
 	}
-	op, rest := popFront(s.queue[o])
-	s.queue[o] = rest
-	s.active[o] = true
+	op, rest := popFront(obj.queue)
+	obj.queue = rest
+	obj.active = true
 	s.react(op, s.h.Step(&op.msg))
 }
 
 // IssueQuery schedules a query from origin for o at time at.
 func (s *TreeSim) IssueQuery(origin graph.NodeID, o core.ObjectID, at float64) error {
-	if _, ok := s.loc[o]; !ok {
+	obj, ok := s.objs[o]
+	if !ok {
 		return fmt.Errorf("sim: object %d not published", o)
 	}
 	if s.t.Leaf(origin) < 0 {
@@ -164,7 +173,7 @@ func (s *TreeSim) IssueQuery(origin graph.NodeID, o core.ObjectID, at float64) e
 	}
 	s.eng.At(at, func() {
 		m, _ := s.h.NewMsg(core.QueryMsg, o, origin) // origin's leaf is checked above
-		s.send(&treeFlight{s: s, msg: m, origin: origin, optimal: s.m.Dist(origin, s.loc[o])})
+		s.send(&treeFlight{s: s, obj: obj, msg: m, origin: origin, optimal: s.m.Dist(origin, obj.proxy)})
 	})
 	return nil
 }
@@ -207,8 +216,8 @@ func (s *TreeSim) react(op *treeFlight, v core.Verdict) {
 
 func (s *TreeSim) finishMove(op *treeFlight) {
 	s.h.Meter.AddMaintSample(op.msg.Cost, op.optimal)
-	s.active[op.msg.Obj] = false
-	s.pump(op.msg.Obj)
+	op.obj.active = false
+	s.pump(op.obj)
 }
 
 // park holds a query at a stale proxy's leaf: the object moved and the
@@ -276,5 +285,9 @@ func (s *TreeSim) CheckInvariants() error {
 	for _, err := range s.errs {
 		return fmt.Errorf("sim: protocol error during run: %w", err)
 	}
-	return s.h.CheckInvariants(s.loc)
+	loc := make(map[core.ObjectID]graph.NodeID, len(s.objs))
+	for o, obj := range s.objs {
+		loc[o] = obj.proxy
+	}
+	return s.h.CheckInvariants(loc)
 }

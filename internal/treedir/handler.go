@@ -53,14 +53,15 @@ type Msg struct {
 // Climbing reports whether m is on its upward leg.
 func (m *Msg) Climbing() bool { return m.phase == climbing }
 
-// Handler is the pruning tree's per-node rule over one entry store: each
-// tree node maps an object to the child its trail continues at (-1 at the
-// proxy's leaf). Drivers serialize steps and add their samples to Meter.
+// Handler is the pruning tree's per-node rule over one entry store, which
+// maps a tree node and an object to the child the object's trail
+// continues at (-1 at the proxy's leaf). Drivers serialize steps and add
+// their samples to Meter.
 type Handler struct {
 	t     *Tree
 	m     *graph.Metric
 	cfg   Config
-	dl    []map[core.ObjectID]int
+	dl    entryTable
 	Meter core.CostMeter
 }
 
@@ -69,11 +70,7 @@ func NewHandler(t *Tree, m *graph.Metric, cfg Config) (*Handler, error) {
 	if !t.final {
 		return nil, fmt.Errorf("treedir: tree not finalized")
 	}
-	dl := make([]map[core.ObjectID]int, t.Len())
-	for i := range dl {
-		dl[i] = make(map[core.ObjectID]int)
-	}
-	return &Handler{t: t, m: m, cfg: cfg, dl: dl}, nil
+	return &Handler{t: t, m: m, cfg: cfg, dl: newEntryTable(2 * t.Len())}, nil
 }
 
 // NewMsg starts an operation of o at the owner's leaf. A sink query's
@@ -103,14 +100,14 @@ func (h *Handler) Step(m *Msg) core.Verdict {
 		}
 		return core.Done
 	}
-	entries := h.dl[m.At]
-	e, has := entries[m.Obj]
+	i, has := h.dl.lookup(m.At, m.Obj)
+	e := int(h.dl.cells[i].child)
 	switch {
 	case m.phase == pruning:
 		if !has {
 			return core.TrailLost
 		}
-		delete(entries, m.Obj)
+		h.dl.remove(i)
 		if e < 0 {
 			return core.Done // the old proxy's leaf
 		}
@@ -124,7 +121,7 @@ func (h *Handler) Step(m *Msg) core.Verdict {
 	case m.Kind == core.QueryMsg:
 		return h.climbOn(m)
 	}
-	entries[m.Obj] = m.below // stamp, or repoint a move's peak
+	h.dl.set(i, m.At, m.Obj, m.below, has) // stamp, or repoint a move's peak
 	if has && m.Kind == core.MoveMsg {
 		if e < 0 {
 			return core.Done // the peak is the old proxy's leaf: nothing to prune
@@ -185,8 +182,10 @@ func (h *Handler) Walk(m *Msg) core.Verdict {
 // metric's graph (tree nodes count at their hosts).
 func (h *Handler) LoadByNode() []int {
 	counts := make([]int, h.m.Graph().N())
-	for id, entries := range h.dl {
-		counts[h.t.Host(id)] += len(entries)
+	for _, c := range h.dl.cells {
+		if c.node != 0 {
+			counts[h.t.Host(int(c.node)-1)]++
+		}
 	}
 	return counts
 }
@@ -196,15 +195,15 @@ func (h *Handler) LoadByNode() []int {
 // off it.
 func (h *Handler) CheckInvariants(loc map[core.ObjectID]graph.NodeID) error {
 	perObject := make(map[core.ObjectID]int)
-	for _, entries := range h.dl {
-		for o := range entries {
-			perObject[o]++
+	for _, c := range h.dl.cells {
+		if c.node != 0 {
+			perObject[c.obj]++
 		}
 	}
 	for o, proxy := range loc {
 		id, steps := h.t.Root(), 0
 		for {
-			child, has := h.dl[id][o]
+			child, has := h.dl.get(id, o)
 			if !has {
 				return fmt.Errorf("treedir: trail for %d broken at node %d", o, id)
 			}

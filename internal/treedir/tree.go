@@ -20,17 +20,16 @@ import (
 
 // Tree is a rooted tree whose nodes are hosted at physical sensors.
 type Tree struct {
-	parent   []int
-	children [][]int
-	host     []graph.NodeID
-	leafOf   map[graph.NodeID]int // sensor -> its leaf tree node
-	root     int
-	final    bool
+	parent []int
+	host   []graph.NodeID
+	leafOf []int // sensor -> its leaf tree node, -1 for none
+	root   int
+	final  bool
 }
 
 // NewTree returns an empty tree builder.
 func NewTree() *Tree {
-	return &Tree{leafOf: make(map[graph.NodeID]int), root: -1}
+	return &Tree{root: -1}
 }
 
 // AddLeaf adds a leaf tree node for the given sensor and returns its tree
@@ -39,8 +38,14 @@ func (t *Tree) AddLeaf(sensor graph.NodeID) (int, error) {
 	if t.final {
 		return -1, fmt.Errorf("treedir: tree finalized")
 	}
-	if _, ok := t.leafOf[sensor]; ok {
+	if sensor < 0 {
+		return -1, fmt.Errorf("treedir: negative sensor %d", sensor)
+	}
+	if t.Leaf(sensor) >= 0 {
 		return -1, fmt.Errorf("treedir: sensor %d already has a leaf", sensor)
+	}
+	for int(sensor) >= len(t.leafOf) {
+		t.leafOf = append(t.leafOf, -1)
 	}
 	id := t.addNode(sensor)
 	t.leafOf[sensor] = id
@@ -59,7 +64,6 @@ func (t *Tree) AddInternal(host graph.NodeID) (int, error) {
 func (t *Tree) addNode(host graph.NodeID) int {
 	id := len(t.parent)
 	t.parent = append(t.parent, -1)
-	t.children = append(t.children, nil)
 	t.host = append(t.host, host)
 	return id
 }
@@ -79,12 +83,11 @@ func (t *Tree) SetParent(child, parent int) error {
 		return fmt.Errorf("treedir: node %d already has a parent", child)
 	}
 	t.parent[child] = parent
-	t.children[parent] = append(t.children[parent], child)
 	return nil
 }
 
-// Finalize validates the structure: exactly one root, no cycles, every node
-// reachable from the root.
+// Finalize validates the structure: exactly one root and no cycles, so
+// every node reaches the root.
 func (t *Tree) Finalize() error {
 	if t.final {
 		return nil
@@ -102,22 +105,29 @@ func (t *Tree) Finalize() error {
 	if roots != 1 {
 		return fmt.Errorf("treedir: %d roots, want 1", roots)
 	}
-	// Reachability (also detects cycles, since |visited| would fall short).
-	visited := make([]bool, len(t.parent))
-	stack := []int{t.root}
-	count := 0
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if visited[u] {
-			return fmt.Errorf("treedir: cycle through node %d", u)
+	// Every other node has a parent, so it reaches the root unless its
+	// parent chain runs into a cycle. One walk per node up to a node
+	// already known to reach the root; a node met twice on one walk closes
+	// a cycle.
+	const (
+		unknown uint8 = iota
+		onWalk
+		reachesRoot
+	)
+	state := make([]uint8, len(t.parent))
+	state[t.root] = reachesRoot
+	for u := range t.parent {
+		v := u
+		for state[v] == unknown {
+			state[v] = onWalk
+			v = t.parent[v]
 		}
-		visited[u] = true
-		count++
-		stack = append(stack, t.children[u]...)
-	}
-	if count != len(t.parent) {
-		return fmt.Errorf("treedir: %d of %d nodes reachable from root", count, len(t.parent))
+		if state[v] == onWalk {
+			return fmt.Errorf("treedir: cycle through node %d", v)
+		}
+		for v = u; state[v] == onWalk; v = t.parent[v] {
+			state[v] = reachesRoot
+		}
 	}
 	t.final = true
 	return nil
@@ -137,10 +147,10 @@ func (t *Tree) Host(id int) graph.NodeID { return t.host[id] }
 
 // Leaf returns the leaf tree node of a sensor, or -1.
 func (t *Tree) Leaf(sensor graph.NodeID) int {
-	if id, ok := t.leafOf[sensor]; ok {
-		return id
+	if sensor < 0 || int(sensor) >= len(t.leafOf) {
+		return -1
 	}
-	return -1
+	return t.leafOf[sensor]
 }
 
 // Depth returns the number of edges from id to the root.

@@ -52,6 +52,9 @@ func TestTreeBuilderValidation(t *testing.T) {
 	if _, err := tr.AddLeaf(0); err == nil {
 		t.Fatal("duplicate leaf accepted")
 	}
+	if _, err := tr.AddLeaf(-1); err == nil {
+		t.Fatal("negative sensor accepted")
+	}
 	b, _ := tr.AddLeaf(1)
 	if err := tr.SetParent(a, a); err == nil {
 		t.Fatal("self-parent accepted")
@@ -89,6 +92,24 @@ func TestTwoRootsRejected(t *testing.T) {
 	tr.AddLeaf(1)
 	if err := tr.Finalize(); err == nil {
 		t.Fatal("forest finalized as tree")
+	}
+}
+
+// A root plus a detached two-node cycle has exactly one root, so only the
+// walk up the parent pointers can tell that the cycle never reaches it.
+func TestDetachedCycleRejected(t *testing.T) {
+	tr := NewTree()
+	tr.AddInternal(0)
+	a, _ := tr.AddLeaf(1)
+	b, _ := tr.AddLeaf(2)
+	if err := tr.SetParent(a, b); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.SetParent(b, a); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Finalize(); err == nil {
+		t.Fatal("a root plus a detached cycle finalized as a tree")
 	}
 }
 
@@ -309,7 +330,11 @@ func TestHandlerStops(t *testing.T) {
 	if err := d.Publish(1, 3); err != nil {
 		t.Fatal(err)
 	}
-	delete(d.h.dl[tr.Leaf(2)], 1)
+	i, ok := d.h.dl.lookup(tr.Leaf(2), 1)
+	if !ok {
+		t.Fatal("the trail misses sensor 2")
+	}
+	d.h.dl.remove(i)
 	if _, _, err := d.Query(0, 1); err == nil {
 		t.Fatal("query over a broken trail succeeded")
 	}
